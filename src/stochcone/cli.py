@@ -9,7 +9,8 @@ tolerances, input hashes, and package version, so equal manifests mean
 byte-identical files.
 
 Exit codes: 0 success (or property holds), 1 property fails, 2 usage or
-input error, 3 cross-check disagreement between the two dominance deciders.
+input error, 3 cross-check disagreement between the two dominance deciders,
+4 internal failure (a failed certificate or a solver that did not converge).
 """
 from __future__ import annotations
 
@@ -372,6 +373,11 @@ def main(argv: list[str] | None = None) -> int:
         # ProductCapExceeded all subclass ValueError: input errors, exit 2.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # EigenConvergenceError, MaxIterationsExceeded and failed optimality
+        # certificates: the package could not produce a checked answer.
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -15,8 +15,9 @@ import numpy as np
 
 from .matfun import (
     DimensionMismatch,
+    SpectralDomainError,
     SymMatrix,
-    _apply,
+    _cholesky,
     _eig,
     frobenius,
     sym,
@@ -30,10 +31,12 @@ __all__ = [
     "posdef",
     "posdef_eye",
     "loewner_leq",
+    "loewner_pairwise",
     "order_compare",
     "gauge",
     "thompson_distance",
     "thompson_arrays",
+    "thompson_pairwise",
     "translate",
     "order_interval_contains",
     "dominating_transport",
@@ -75,7 +78,7 @@ class PosDefMatrix:
     def __post_init__(self):
         w, _ = _eig(self.m.entries, want_vectors=False)
         if w[0] <= self.pd_floor:
-            raise NotPositiveDefinite(w[0], self.pd_floor)
+            raise NotPositiveDefinite(float(w[0]), self.pd_floor)
 
     @property
     def a(self) -> np.ndarray:
@@ -106,18 +109,35 @@ def _unwrap(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
+def _stacks(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    ax = np.asarray(xs, dtype=float)
+    ay = np.asarray(ys, dtype=float)
+    if ax.ndim != 3 or ay.ndim != 3 or ax.shape[1:] != ay.shape[1:]:
+        raise DimensionMismatch(f"dimension mismatch: {ax.shape} vs {ay.shape}")
+    return ax, ay
+
+
+def loewner_pairwise(xs, ys, tol: OrderTolerance = OrderTolerance()) -> np.ndarray:
+    """Closed Loewner order tests x_i <= y_j for every pair of an (n, d, d)
+    and an (m, d, d) stack, as an (n, m) boolean array from one batched
+    eigvalsh call.
+
+    Accepts the smallest eigenvalue of y_j - x_i down to
+    -eps * (1 + ||y_j - x_i||_F).
+    """
+    ax, ay = _stacks(xs, ys)
+    diff = ay[None, :] - ax[:, None]
+    w, _ = _eig((diff + np.swapaxes(diff, -1, -2)) / 2.0, want_vectors=False)
+    return w[..., 0] >= -tol.eps * (1.0 + np.sqrt((diff * diff).sum(axis=(-2, -1))))
+
+
 def loewner_leq(x, y, tol: OrderTolerance = OrderTolerance()) -> bool:
     """Closed Loewner order test: is y - x positive semidefinite?
 
     Accepts sign of the smallest eigenvalue of y - x down to
     -eps * (1 + ||y - x||_F).
     """
-    ax, ay = _unwrap(x), _unwrap(y)
-    if ax.shape != ay.shape:
-        raise DimensionMismatch(f"dimension mismatch: {ax.shape} vs {ay.shape}")
-    diff = ay - ax
-    w, _ = _eig((diff + diff.T) / 2.0, want_vectors=False)
-    return w[0] >= -tol.eps * (1.0 + frobenius(diff))
+    return bool(loewner_pairwise(_unwrap(x)[None], _unwrap(y)[None], tol)[0, 0])
 
 
 class OrderRelation(Enum):
@@ -141,28 +161,43 @@ def order_compare(x, y, tol: OrderTolerance = OrderTolerance()) -> OrderRelation
     return OrderRelation.INCOMPARABLE
 
 
-def _whitened_spectrum(ax: np.ndarray, ay: np.ndarray):
-    """Eigenvalues of y^{-1/2} x y^{-1/2}, ascending (array level)."""
-    if ax.shape != ay.shape:
-        raise DimensionMismatch(f"dimension mismatch: {ax.shape} vs {ay.shape}")
-    wy, qy = _eig(ay, want_vectors=True)
-    s = _apply(wy, qy, "inv_sqrt")
-    m = s @ ax @ s
-    w, _ = _eig((m + m.T) / 2.0, want_vectors=False)
+def _whitened_spectra(xs, ys) -> np.ndarray:
+    """Eigenvalues of L_j^{-1} x_i L_j^{-T}, where y_j = L_j L_j^T, for every
+    pair of two stacks, as an (n, m, d) array ascending along the last axis.
+
+    Whitening by the Cholesky factor keeps the spectra accurate when they
+    span many orders of magnitude; each y_j is factored once and all n*m
+    spectra come from one eigvalsh call.
+    """
+    ax, ay = _stacks(xs, ys)
+    li = np.linalg.inv(_cholesky(ay))
+    m = li @ ax[:, None] @ np.swapaxes(li, -1, -2)
+    w, _ = _eig((m + np.swapaxes(m, -1, -2)) / 2.0, want_vectors=False)
     return w
+
+
+def thompson_pairwise(xs, ys) -> np.ndarray:
+    """Thompson distances d_T(x_i, y_j) between every pair of an (n, d, d)
+    and an (m, d, d) stack of positive-definite arrays, as an (n, m) array.
+
+    Both gauges are read off one whitened spectrum: log of its top
+    eigenvalue, and minus log of its bottom one.
+    """
+    w = _whitened_spectra(xs, ys)
+    if not (w[..., 0] > 0.0).all():
+        raise SpectralDomainError("log", float(w[..., 0].min()))
+    return np.maximum(0.0, np.maximum(np.log(w[..., -1]), -np.log(w[..., 0])))
 
 
 def thompson_arrays(ax: np.ndarray, ay: np.ndarray) -> float:
     """Thompson distance on raw arrays assumed positive definite."""
-    w = _whitened_spectrum(ax, ay)
-    return max(0.0, math.log(w[-1]), -math.log(w[0]))
+    return float(thompson_pairwise(np.asarray(ax)[None], np.asarray(ay)[None])[0, 0])
 
 
 def gauge(x: PosDefMatrix, y: PosDefMatrix) -> float:
     """Least lambda with x <= lambda * y; equals the top eigenvalue of
     y^{-1/2} x y^{-1/2}."""
-    w = _whitened_spectrum(x.a, y.a)
-    return float(w[-1])
+    return float(_whitened_spectra(x.a[None], y.a[None])[0, 0, -1])
 
 
 def thompson_distance(x: PosDefMatrix, y: PosDefMatrix) -> float:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _flow
-from .cone import OrderTolerance, PosDefMatrix, loewner_leq
+from .cone import OrderTolerance, PosDefMatrix, loewner_pairwise
 from .matfun import DimensionMismatch, frobenius
 from .measure import ATOM_MERGE_TOL, FinMeasure, make_rng
 from .transport import Coupling
@@ -104,10 +104,6 @@ def verdict_to_json_dict(verdict: DominanceVerdict) -> dict:
     return {"holds": verdict.holds, "certificate": doc}
 
 
-def _default_leq(order_tol: OrderTolerance) -> LeqFn:
-    return lambda x, y: loewner_leq(x, y, order_tol)
-
-
 def _merged_support(mu: FinMeasure, nu: FinMeasure):
     """Merged atom list with per-measure masses and atom-index maps."""
     points: list[PosDefMatrix] = []
@@ -136,13 +132,22 @@ def _merged_support(mu: FinMeasure, nu: FinMeasure):
     return points, mu_mass, nu_mass, mu_idx, nu_idx
 
 
-def _leq_matrix(points: Sequence[PosDefMatrix], leq: LeqFn) -> list[list[bool]]:
-    n = len(points)
-    out = [[True] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                out[i][j] = leq(points[i], points[j])
+def _leq_matrix(xs: Sequence[PosDefMatrix], ys: Sequence[PosDefMatrix],
+                order_tol: OrderTolerance, leq: LeqFn | None) -> list[list[bool]]:
+    """Comparison table x_i <= y_j: one batched Loewner kernel call for the
+    default order, a call per pair for a caller-supplied relation."""
+    if leq is None:
+        return loewner_pairwise(np.stack([x.a for x in xs]), np.stack([y.a for y in ys]),
+                                order_tol).tolist()
+    return [[leq(x, y) for y in ys] for x in xs]
+
+
+def _order_table(points: Sequence[PosDefMatrix], order_tol: OrderTolerance,
+                 leq: LeqFn | None) -> list[list[bool]]:
+    """Comparison table of a point list with itself; reflexive by definition."""
+    out = _leq_matrix(points, points, order_tol, leq)
+    for i in range(len(points)):
+        out[i][i] = True
     return out
 
 
@@ -233,9 +238,7 @@ def enumerate_upper_sets(points: Sequence[PosDefMatrix],
         raise SupportTooLarge(n)
     if n == 0:
         return [UpperSet(frozenset(), 0)]
-    leq_fn = leq if leq is not None else _default_leq(order_tol)
-    leqm = _leq_matrix(points, leq_fn)
-    classes, cls_leq = _quotient(leqm)
+    classes, cls_leq = _quotient(_order_table(points, order_tol, leq))
     topo = _topo_order(cls_leq)
     out = []
     for cset in _iter_upclosed(cls_leq, topo):
@@ -259,9 +262,7 @@ def dominates_by_upper_sets(mu: FinMeasure, nu: FinMeasure,
     n = len(points)
     if n > MAX_ENUM_POINTS:
         raise SupportTooLarge(n)
-    leq_fn = leq if leq is not None else _default_leq(order_tol)
-    leqm = _leq_matrix(points, leq_fn)
-    classes, cls_leq = _quotient(leqm)
+    classes, cls_leq = _quotient(_order_table(points, order_tol, leq))
     topo = _topo_order(cls_leq)
     cls_mu = [sum(mu_mass[i] for i in members) for members in classes]
     cls_nu = [sum(nu_mass[i] for i in members) for members in classes]
@@ -289,8 +290,7 @@ def dominates_by_coupling(mu: FinMeasure, nu: FinMeasure,
     """
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-    leq_fn = leq if leq is not None else _default_leq(order_tol)
-    edges = [[leq_fn(x, y) for y in nu.points] for x in mu.points]
+    edges = _leq_matrix(mu.points, nu.points, order_tol, leq)
     a = _flow.apportion(mu.weights)
     b = _flow.apportion(nu.weights)
     value, flow, source_side = _flow.bipartite_max_flow(a, b, edges)
@@ -305,7 +305,7 @@ def dominates_by_coupling(mu: FinMeasure, nu: FinMeasure,
     points, mu_mass, nu_mass, mu_idx, _ = _merged_support(mu, nu)
     n = len(points)
     seeds = [mu_idx[i] for i in range(mu.size) if source_side[i]]
-    leqm = _leq_matrix(points, leq_fn)
+    leqm = _order_table(points, order_tol, leq)
     members = frozenset(k for k in range(n) if any(leqm[s][k] for s in seeds))
     mu_u = sum(mu_mass[k] for k in members)
     nu_u = sum(nu_mass[k] for k in members)

@@ -2,9 +2,10 @@
 Thompson ground metric.
 
 The solver is a min-cost transportation flow on integer-scaled data (masses
-on a 1e-9 grid, costs on a 1e-12 grid), so plans are exact optima of the
-quantized problem and optimality is certified through the recovered dual
-prices.  The sup-distance uses a bottleneck threshold search instead.
+on a 1e-9 grid, costs divided by their maximum and put on a 1e-12 grid), so
+plans are exact optima of the quantized problem and optimality is certified
+through the recovered dual prices, with a reduced-cost tolerance relative to
+the largest cost.  The sup-distance uses a bottleneck threshold search instead.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _flow
-from .cone import thompson_arrays
+from .cone import thompson_arrays, thompson_pairwise
 from .matfun import DimensionMismatch
 from .measure import FinMeasure
 
@@ -95,17 +96,15 @@ def cost_matrix(mu: FinMeasure, nu: FinMeasure, p: float = 1.0) -> CostMatrix:
     _check_pair(mu, nu)
     if not (p >= 1.0):
         raise ValueError(f"order p must satisfy p >= 1, got {p}")
-    ents = np.empty((mu.size, nu.size))
-    for i, x in enumerate(mu.points):
-        for j, y in enumerate(nu.points):
-            d = thompson_arrays(x.a, y.a)
-            ents[i, j] = d if math.isinf(p) else d ** p
-    return CostMatrix(ents, p)
+    d = thompson_pairwise(np.stack([x.a for x in mu.points]),
+                          np.stack([y.a for y in nu.points]))
+    return CostMatrix(d if math.isinf(p) else d ** p, p)
 
 
 def _certify(costs: np.ndarray, flow: list[list[int]], u: list[int], v: list[int]):
     """Complementary-slackness check of the integer solution against the
-    unquantized costs; failures indicate an internal bug."""
+    unquantized costs, normalized to a maximum of one; failures indicate an
+    internal bug."""
     r, c = costs.shape
     for i in range(r):
         ui = u[i] / _flow.COST_SCALE
@@ -126,9 +125,10 @@ def _certify(costs: np.ndarray, flow: list[list[int]], u: list[int], v: list[int
 def wasserstein(mu: FinMeasure, nu: FinMeasure, p: float = 1.0) -> tuple[float, Coupling]:
     """Exact p-Wasserstein distance and an optimal coupling (finite p >= 1).
 
-    Returns (distance, plan).  The reported distance evaluates the optimal
-    plan against unquantized costs, so quantization error is below 1e-12 per
-    unit mass.
+    Returns (distance, plan).  Costs are divided by their maximum before
+    quantization.  The reported distance evaluates the optimal plan against
+    unquantized costs, so quantization error is below 1e-12 of the largest
+    cost per unit mass.
     """
     if math.isinf(p):
         raise ValueError("p must be finite; use wasserstein_inf for the sup distance")
@@ -143,10 +143,12 @@ def wasserstein(mu: FinMeasure, nu: FinMeasure, p: float = 1.0) -> tuple[float, 
     costs = cost_matrix(mu, nu, p).entries
     a = _flow.apportion(mu.weights)
     b = _flow.apportion(nu.weights)
-    int_costs = [[int(round(costs[i, j] * _flow.COST_SCALE)) for j in range(nu.size)]
-                 for i in range(mu.size)]
+    # d_T^p spans many orders of magnitude; quantize and certify relative to
+    # the largest cost so the grid and the tolerance scale with the data
+    unit = costs / (costs.max() or 1.0)
+    int_costs = np.rint(unit * _flow.COST_SCALE).astype(np.int64).tolist()
     flow, u, v = _flow.transportation_min_cost(a, b, int_costs)
-    _certify(costs, flow, u, v)
+    _certify(unit, flow, u, v)
     plan_w = np.asarray(flow, dtype=float) / _flow.MASS_SCALE
     total = float((costs * plan_w).sum())
     plan = Coupling(plan_w, mu.weights, nu.weights)

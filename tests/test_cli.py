@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import stochcone.cli as cli
+import stochcone.transport as transport
 from stochcone import (
     MeanConfig,
     OrderTolerance,
@@ -109,6 +110,17 @@ def test_dominates_disagreement_exits_3(capsys, monkeypatch):
 
 
 # -------------------------------------------------------------- wasserstein
+
+
+def test_internal_failure_exits_4_with_one_line(capsys, monkeypatch):
+    def fail(*_args):
+        raise RuntimeError("optimality certificate failed: forced")
+
+    monkeypatch.setattr(transport, "_certify", fail)
+    code, out, err = run(capsys, "wasserstein", DATA, "low", "high", "--p", "2")
+    assert code == 4
+    assert out == ""
+    assert err.splitlines() == ["error: optimality certificate failed: forced"]
 
 
 def test_wasserstein_matches_library(capsys):

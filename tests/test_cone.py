@@ -10,20 +10,31 @@ from stochcone import (
     NotPositiveDefinite,
     OrderRelation,
     OrderTolerance,
+    SpectralDomainError,
     dominating_transport,
     eigh,
     gauge,
     loewner_leq,
+    loewner_pairwise,
+    make_rng,
     order_compare,
     order_interval_contains,
     posdef,
     posdef_eye,
     sym,
     thompson_distance,
+    thompson_pairwise,
     translate,
 )
 
-from oracles import numpy_thompson, rand_pd, rand_psd_array, rand_sym
+from oracles import (
+    jacobi_thompson,
+    mpmath_thompson,
+    numpy_thompson,
+    rand_pd,
+    rand_psd_array,
+    rand_sym,
+)
 
 
 def test_posdef_rejects_indefinite():
@@ -156,9 +167,51 @@ def test_thompson_matches_numpy_oracle(seed):
     rng = np.random.default_rng(seed)
     d = int(rng.integers(2, 5))
     x, y = rand_pd(rng, d, 1.5), rand_pd(rng, d, 1.5)
-    assert thompson_distance(x, y) == pytest.approx(
-        numpy_thompson(x.a, y.a), abs=1e-10
-    )
+    got = thompson_distance(x, y)
+    assert got == pytest.approx(numpy_thompson(x.a, y.a), abs=1e-10)
+    assert got == pytest.approx(jacobi_thompson(x.a, y.a), abs=1e-10)
+
+
+def test_thompson_accurate_on_wide_spectra():
+    # radius 12 puts whitened spectra across ~1e14; 60-digit reference
+    pytest.importorskip("mpmath")
+    rng = make_rng(12)
+    for _ in range(60):
+        x, y = rand_pd(rng, 2, 12.0), rand_pd(rng, 2, 12.0)
+        want = mpmath_thompson(x.a, y.a)
+        assert abs(thompson_distance(x, y) - want) <= 1e-8 * want
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 4))
+def test_pairwise_kernels_match_scalar_calls(seed, n, m):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 4))
+    xs = [rand_pd(rng, d, 1.5) for _ in range(n)]
+    # every other y dominates an x by a PSD shift, so both verdicts occur
+    ys = [translate(xs[j % n], sym(rand_psd_array(rng, d))) if j % 2 == 0
+          else rand_pd(rng, d, 1.5) for j in range(m)]
+    ax, ay = np.stack([x.a for x in xs]), np.stack([y.a for y in ys])
+    dist = thompson_pairwise(ax, ay)
+    leq = loewner_pairwise(ax, ay)
+    assert dist.shape == leq.shape == (n, m)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            assert dist[i, j] == pytest.approx(thompson_distance(x, y), rel=1e-12, abs=1e-15)
+            assert leq[i, j] == loewner_leq(x, y)
+    assert leq[:, 0::2].any(axis=0).all()
+
+
+def test_pairwise_kernels_validate_stacks():
+    ok = np.stack([np.eye(2)] * 2)
+    with pytest.raises(DimensionMismatch):
+        thompson_pairwise(ok, np.stack([np.eye(3)]))
+    with pytest.raises(DimensionMismatch):
+        loewner_pairwise(ok, np.eye(2))
+    with pytest.raises(SpectralDomainError):
+        thompson_pairwise(ok, np.stack([np.diag([1.0, -1.0])]))
+    with pytest.raises(SpectralDomainError):
+        thompson_pairwise(np.stack([np.diag([1.0, -1.0])]), ok)
 
 
 def test_translate_shifts_and_validates():

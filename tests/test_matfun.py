@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from stochcone import (
     DimensionMismatch,
+    EigenConvergenceError,
     SpectralDomainError,
     SymMatrix,
     congruence,
@@ -17,7 +18,7 @@ from stochcone import (
     sym,
 )
 
-from oracles import rand_pd_array, rand_sym
+from oracles import jacobi_eigvals, rand_pd_array, rand_sym
 
 
 def test_symmetrize_averages_off_diagonal():
@@ -70,13 +71,13 @@ def test_eigh_sorted_ascending():
         assert w == sorted(w)
 
 
-def test_eigh_matches_lapack_oracle():
+def test_eigh_matches_jacobi_oracle():
     rng = np.random.default_rng(11)
     for _ in range(200):
         d = int(rng.integers(1, 9))
         a = rand_sym(rng, d, float(rng.uniform(0.1, 10.0)))
         dec = eigh(sym(a))
-        ref = np.linalg.eigvalsh(a)
+        ref = jacobi_eigvals(a)
         scale = 1.0 + float(np.abs(a).sum())
         assert float(np.max(np.abs(dec.eigenvalues - ref))) <= 1e-12 * scale
 
@@ -91,6 +92,19 @@ def test_eigh_reconstruction_and_orthogonality():
         recon = (q * dec.eigenvalues) @ q.T
         assert frobenius(recon - a) <= 1e-10 * (1.0 + frobenius(a))
         assert float(np.max(np.abs(q.T @ q - np.eye(d)))) <= 1e-10
+        # sign convention: each column's largest-magnitude component is positive
+        assert (q[np.abs(q).argmax(axis=0), np.arange(d)] > 0.0).all()
+
+
+def test_lapack_failure_is_an_eigen_convergence_error(monkeypatch):
+    def fail(*_args, **_kw):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(EigenConvergenceError):
+        eigh(eye(2))
+    with pytest.raises(EigenConvergenceError):
+        matrix_fn(eye(2), "sqrt")
 
 
 def test_eigh_deterministic_bitwise():

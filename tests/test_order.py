@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import stochcone.cone as cone
 from stochcone import (
     Coupling,
     DimensionMismatch,
@@ -253,6 +256,32 @@ def test_enum_decider_matches_brute_oracle():
         got = dominates_by_upper_sets(mu, nu, tol=1e-9)
         want = brute_stochastic_dominance(mu, nu, leq, tol=1e-9)
         assert got.holds == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_batched_default_order_matches_scalar_leq(seed, dominated):
+    rng = make_rng(seed)
+    d = int(rng.integers(2, 4))
+    if dominated:
+        mu, nu = dominated_pair(rng, d, 4)
+    else:
+        mu, nu = rand_measure(rng, d, 4), rand_measure(rng, d, 4)
+    for decide in (dominates_by_coupling, dominates_by_upper_sets):
+        batched = verdict_to_json_dict(decide(mu, nu))
+        scalar = verdict_to_json_dict(decide(mu, nu, leq=leq))
+        assert batched == scalar
+
+
+def test_coupling_decider_edges_are_one_kernel_call(count_calls):
+    rng = make_rng(56)
+    mu, nu = dominated_pair(rng, 3, 5)
+    eig = count_calls(cone, "_eig")
+    assert dominates_by_coupling(mu, nu)
+    assert len(eig) == 1
+    # a negative verdict adds one call for the merged-support order table
+    assert not dominates_by_coupling(nu, mu)
+    assert len(eig) == 3
 
 
 def test_decider_rejects_dimension_mismatch():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import stochcone.cone as cone
 from stochcone import (
     Coupling,
     DimensionMismatch,
@@ -76,6 +77,37 @@ def test_cost_matrix_against_numpy_oracle():
     inf_cm = cost_matrix(mu, nu, math.inf)
     assert inf_cm.entries[0, 0] == pytest.approx(
         numpy_thompson(mu.points[0].a, nu.points[0].a), abs=1e-10)
+
+
+def test_cost_matrix_equals_per_pair_distances():
+    rng = make_rng(81)
+    mu = rand_measure(rng, 3, 7, radius=3.0)
+    nu = rand_measure(rng, 3, 5, radius=3.0)
+    cm = cost_matrix(mu, nu, 1.0).entries
+    for i, x in enumerate(mu.points):
+        for j, y in enumerate(nu.points):
+            assert cm[i, j] == pytest.approx(thompson_distance(x, y), rel=1e-12)
+
+
+def test_cost_matrix_is_one_batched_kernel_call(count_calls):
+    rng = make_rng(82)
+    mu = rand_measure_dyadic(rng, 3, 6)
+    nu = rand_measure_dyadic(rng, 3, 4)
+    chol = count_calls(cone, "_cholesky")
+    eig = count_calls(cone, "_eig")
+    assert cost_matrix(mu, nu, 2.0).entries.shape == (6, 4)
+    assert (len(chol), len(eig)) == (1, 1)
+
+
+def test_certificate_holds_on_wide_cost_ranges():
+    # d_T^p reaches ~1e15 here: quantization and the reduced-cost check must
+    # be relative to the largest cost, not absolute
+    rng = make_rng(12)
+    for _ in range(40):
+        mu = rand_measure(rng, 2, 6, radius=12.0)
+        nu = rand_measure(rng, 2, 6, radius=12.0)
+        for p in (6.0, 12.0):
+            wasserstein(mu, nu, p)  # raises if the optimality certificate fails
 
 
 def test_cost_matrix_rejects_p_below_one():
