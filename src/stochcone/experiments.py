@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .cone import PosDefMatrix, posdef, thompson_distance
 from .matfun import SymMatrix, frobenius, matrix_fn, sym
 from .means import MeanConfig, agh_check, karcher_mean, power_mean
 from .measure import FinMeasure, from_atoms, make_rng, push_forward
-from .order import dominates_by_coupling
+from .order import _draw_hinge, dominates_by_coupling
 from .transport import wasserstein
 
 __all__ = [
@@ -88,23 +87,6 @@ def _translate_measure(mu: FinMeasure, shift: SymMatrix) -> FinMeasure:
     return push_forward(mu, lambda p: posdef(p.a + shift.entries, p.pd_floor))
 
 
-def _hinge_functional(rng: np.random.Generator, lo: float, hi: float,
-                      b: np.ndarray) -> Callable[[FinMeasure], float]:
-    """Nonnegative order-monotone functional mu -> int phi(tr(B x)) dmu."""
-    n_knots = int(rng.integers(1, 4))
-    knots = np.concatenate(([lo], rng.uniform(lo, max(hi, lo + 1e-12), n_knots)))
-    coeffs = rng.uniform(0.1, 1.0, n_knots + 1)
-
-    def integral(mu: FinMeasure) -> float:
-        traces = np.array([float((b * p.a).sum()) for p in mu.points])
-        vals = np.zeros_like(traces)
-        for kn, cf in zip(knots, coeffs):
-            vals += cf * np.maximum(0.0, traces - kn)
-        return float(np.dot(mu.weights, vals))
-
-    return integral
-
-
 # ---------------------------------------------------------------- experiments
 
 
@@ -157,13 +139,7 @@ def _chain_rows(seed: int, index: int) -> list[list]:
     mu = rand_measure(rng, dim, int(rng.integers(2, 4)), radius=1.0)
     shift = rand_psd_shift(rng, dim, 0.5)
     limit = _translate_measure(mu, shift)
-    probes = []
-    for _ in range(3):
-        g = rng.standard_normal((dim, dim))
-        b = g @ g.T
-        b /= frobenius(b)
-        traces = [float((b * p.a).sum()) for p in list(mu.points) + list(limit.points)]
-        probes.append(_hinge_functional(rng, min(traces), max(traces), b))
+    probes = [_draw_hinge(rng, dim, mu.points + limit.points)[0] for _ in range(3)]
     rows = []
     for k in range(1, _CHAIN_STEPS + 1):
         scale = 1.0 - 1.0 / k

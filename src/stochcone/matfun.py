@@ -121,8 +121,8 @@ class SpectralDecomposition:
 def _eig(a: np.ndarray, want_vectors: bool = True):
     """Array-level eigendecomposition; no wrapper validation.
 
-    Returns (eigenvalues ascending, eigenvector columns or None).
-    Eigenvalues alone accept an (..., d, d) stack.  Each eigenvector's
+    Returns (eigenvalues ascending, eigenvector columns or None) for a
+    single matrix or an (..., d, d) stack.  Each eigenvector's
     largest-magnitude component is positive (the first one on ties), so the
     result is deterministic for a given numpy/LAPACK build.
     """
@@ -132,7 +132,11 @@ def _eig(a: np.ndarray, want_vectors: bool = True):
         w, q = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigensolver failed: {exc}") from None
-    lead = q[np.abs(q).argmax(axis=0), np.arange(q.shape[1])]
+    idx = np.abs(q).argmax(axis=-2)
+    if q.ndim == 2:  # plain indexing, cheapest for the many single matrices
+        lead = q[idx, np.arange(q.shape[1])]
+    else:
+        lead = np.take_along_axis(q, idx[..., None, :], axis=-2)
     return w, q * np.copysign(1.0, lead)
 
 

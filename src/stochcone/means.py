@@ -1,12 +1,15 @@
 """Matrix means on the positive-definite cone and their lifts to finitely
 supported measures.
 
-The Karcher mean is found by a damped fixed-point iteration on the matrix
-exponential/logarithm; power means by their defining fixed point, with the
-negative orders obtained from the positive ones by inversion duality.
-Measure-level means push the product measure forward through the matching
-tuple mean, exactly when the product support fits under the configured cap
-and by seeded Monte Carlo sampling otherwise.
+Arithmetic, harmonic and Karcher means run on (n, N, d, d) stacks of N
+tuples, one batched eigendecomposition per spectral step; the one-tuple
+functions are their N = 1 case.  The Karcher mean is found by a damped
+fixed-point iteration on the matrix exponential/logarithm; power means by
+their defining fixed point, one tuple at a time, with the negative orders
+obtained from the positive ones by inversion duality.  Measure-level means
+push the product measure forward through the matching tuple mean, exactly
+when the product support fits under the configured cap and by seeded Monte
+Carlo sampling otherwise.
 """
 from __future__ import annotations
 
@@ -17,15 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .cone import PosDefMatrix, thompson_arrays
-from .matfun import DimensionMismatch, SymMatrix, _apply, _eig, _fn, frobenius
-from .measure import (
-    FinMeasure,
-    ProductCapExceeded,
-    from_atoms,
-    make_rng,
-    product,
-    sample,
-)
+from .matfun import DimensionMismatch, SpectralDomainError, SymMatrix, _apply, _eig, _fn
+from .measure import FinMeasure, ProductCapExceeded, _draw, from_atoms, make_rng
 from .order import DominanceVerdict, dominates_by_coupling
 
 __all__ = [
@@ -51,14 +47,16 @@ _MIN_STEP = 1e-12
 
 
 class MaxIterationsExceeded(RuntimeError):
-    """Iteration cap hit before the convergence criterion."""
+    """Iteration cap hit, or step size collapsed, before the convergence
+    criterion; `step` is the collapsed step, or None for the cap."""
 
-    def __init__(self, what: str, residual: float, max_iter: int):
+    def __init__(self, what: str, residual: float, max_iter: int,
+                 step: float | None = None):
         self.residual = residual
-        super().__init__(
-            f"{what} did not converge within {max_iter} iterations; "
-            f"last residual {residual:.6e}"
-        )
+        self.step = step
+        why = (f"did not converge within {max_iter} iterations" if step is None
+               else f"stalled: step size collapsed to {step:.3e}, below {_MIN_STEP:.0e}")
+        super().__init__(f"{what} {why}; last residual {residual:.6e}")
 
 
 @dataclass(frozen=True)
@@ -95,29 +93,65 @@ class MeanIterationInfo:
     step: float
 
 
-def _collect(mats: Sequence[PosDefMatrix]) -> list[np.ndarray]:
+def _collect(mats: Sequence[PosDefMatrix]) -> np.ndarray:
     if not mats:
         raise ValueError("mean of an empty family is undefined")
     d = mats[0].dim
     for m in mats:
         if m.dim != d:
             raise DimensionMismatch("mean inputs have mixed dimensions")
-    return [m.a for m in mats]
+    return np.stack([m.a for m in mats])
 
 
 def _wrap(arr: np.ndarray) -> PosDefMatrix:
     return PosDefMatrix(SymMatrix(arr))
 
 
-def _arith(arrs: list[np.ndarray]) -> np.ndarray:
-    out = arrs[0].copy()
-    for a in arrs[1:]:
-        out = out + a
-    return out / len(arrs)
+def _sym(a: np.ndarray) -> np.ndarray:
+    return (a + a.swapaxes(-1, -2)) / 2.0
 
 
-def _harm(arrs: list[np.ndarray]) -> np.ndarray:
-    return _fn(_arith([_fn(a, "inv") for a in arrs]), "inv")
+def _tuple_sum(a) -> np.ndarray:
+    """a[0] + a[1] + ... in order: the sum of a list of matrices, or the
+    tuple sums of an (n, N, d, d) stack of N tuples."""
+    out = a[0]
+    for x in a[1:]:
+        out = out + x
+    return out
+
+
+def _arith(a) -> np.ndarray:
+    return _tuple_sum(a) / len(a)
+
+
+# numpy's vectorized log/exp may differ from the math module in the last
+# bit, so matfun._fn keeps its per-eigenvalue maps for matrix_fn's outputs
+# and the stacked kernels use these
+_ARRAY_MAPS = {"log": np.log, "exp": np.exp, "inv": np.reciprocal}
+
+
+def _assemble(q: np.ndarray, fw: np.ndarray) -> np.ndarray:
+    """Q diag(fw) Q^T for every matrix of a stack."""
+    return _sym((q * fw[..., None, :]) @ q.swapaxes(-1, -2))
+
+
+def _positive(fn: str, w: np.ndarray) -> None:
+    low = w[..., 0].reshape(-1)
+    if not (low > 0.0).all():
+        raise SpectralDomainError(fn, float(low[~(low > 0.0)][0]))
+
+
+def _spectral(a: np.ndarray, fn: str) -> np.ndarray:
+    """Spectral map of every matrix of a (..., d, d) stack from one batched
+    eigendecomposition; all maps but exp need a positive spectrum."""
+    w, q = _eig(a)
+    if fn != "exp":
+        _positive(fn, w)
+    return _assemble(q, _ARRAY_MAPS[fn](w))
+
+
+def _harm(a: np.ndarray) -> np.ndarray:
+    return _spectral(_arith(_spectral(a, "inv")), "inv")
 
 
 def _geo_t(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
@@ -132,41 +166,63 @@ def _geo_t(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def _log_sum(x: np.ndarray, arrs: list[np.ndarray]):
-    """Sum of log(x^{-1/2} a x^{-1/2}) plus the square-root factors of x."""
-    wx, qx = _eig(x, True)
-    rs = _apply(wx, qx, "inv_sqrt")
-    sq = _apply(wx, qx, "sqrt")
-    total = np.zeros_like(x)
-    for a in arrs:
-        inner = rs @ a @ rs
-        total = total + _fn((inner + inner.T) / 2.0, "log")
-    return (total + total.T) / 2.0, rs, sq
+def _log_sum(x: np.ndarray, a: np.ndarray):
+    """For an (N, d, d) stack x and an (n, N, d, d) stack of tuples: the sums
+    of log(x^{-1/2} a_j x^{-1/2}) over each tuple, plus x^{1/2}."""
+    w, q = _eig(x)
+    _positive("inv_sqrt", w)
+    root = np.sqrt(w)
+    rs = _assemble(q, 1.0 / root)
+    logs = _spectral(_sym(rs @ a @ rs), "log")
+    return _sym(_tuple_sum(logs)), _assemble(q, root)
 
 
-def _karcher(arrs: list[np.ndarray], cfg: MeanConfig):
-    n = len(arrs)
-    x = _arith(arrs)
-    step = 1.0
-    grad, _, sq = _log_sum(x, arrs)
-    res = frobenius(grad)
-    iters = 0
-    while res > cfg.karcher_tol * n:
-        iters += 1
-        if iters > cfg.max_iter:
-            raise MaxIterationsExceeded("Karcher iteration", res, cfg.max_iter)
-        move = _fn(grad * (step / n), "exp")
-        cand = sq @ move @ sq
-        cand = (cand + cand.T) / 2.0
-        grad_c, _, sq_c = _log_sum(cand, arrs)
-        res_c = frobenius(grad_c)
-        if res_c < res:
-            x, grad, sq, res = cand, grad_c, sq_c, res_c
-        else:
-            step *= cfg.step_shrink
-            if step < _MIN_STEP:
-                raise MaxIterationsExceeded("Karcher step search", res, cfg.max_iter)
-    return x, MeanIterationInfo(res, iters, step)
+def _norms(g: np.ndarray) -> np.ndarray:
+    return np.sqrt((g * g).sum(axis=(-2, -1)))
+
+
+def _karcher(a: np.ndarray, cfg: MeanConfig):
+    """Karcher means of an (n, N, d, d) stack of N tuples, as arrays of
+    (means, residuals, iterations, steps).
+
+    Each tuple keeps its own step size and stays active until its gradient
+    norm reaches karcher_tol * n.  Batched operations act matrix by matrix,
+    so a tuple's result is bitwise the same alone and in any batch.  Tuples
+    that hit max_iter or whose step collapses stop; once the rest finish,
+    the lowest one's MaxIterationsExceeded is raised.
+    """
+    n, count = a.shape[:2]
+    x = _arith(a)
+    grad, sq = _log_sum(x, a)
+    res = _norms(grad)
+    step = np.ones(count)
+    iters = np.zeros(count, dtype=int)
+    goal = cfg.karcher_tol * n
+    where = "" if count == 1 else " on tuple {}"
+    failed: dict[int, MaxIterationsExceeded] = {}
+    live = np.flatnonzero(res > goal)
+    while live.size:
+        iters[live] += 1
+        for k in live[iters[live] > cfg.max_iter].tolist():
+            failed[k] = MaxIterationsExceeded("Karcher iteration" + where.format(k),
+                                              float(res[k]), cfg.max_iter)
+        live = live[iters[live] <= cfg.max_iter]
+        move = _spectral(grad[live] * (step[live] / n)[:, None, None], "exp")
+        cand = _sym(sq[live] @ move @ sq[live])
+        grad_c, sq_c = _log_sum(cand, a[:, live])
+        res_c = _norms(grad_c)
+        better = res_c < res[live]
+        won, lost = live[better], live[~better]
+        x[won], grad[won] = cand[better], grad_c[better]
+        sq[won], res[won] = sq_c[better], res_c[better]
+        step[lost] *= cfg.step_shrink
+        for k in lost[step[lost] < _MIN_STEP].tolist():
+            failed[k] = MaxIterationsExceeded("Karcher step search" + where.format(k),
+                                              float(res[k]), cfg.max_iter, float(step[k]))
+        live = live[(res[live] > goal) & (step[live] >= _MIN_STEP)]
+    if failed:
+        raise failed[min(failed)]
+    return x, res, iters, step
 
 
 def _power(arrs: list[np.ndarray], t: float, cfg: MeanConfig):
@@ -192,7 +248,7 @@ def arith_mean(mats: Sequence[PosDefMatrix]) -> PosDefMatrix:
 
 def harm_mean(mats: Sequence[PosDefMatrix]) -> PosDefMatrix:
     """Harmonic mean: the inverse of the averaged inverses."""
-    return _wrap(_harm(_collect(mats)))
+    return _wrap(_harm(_collect(mats)[:, None])[0])
 
 
 def geo_t(a: PosDefMatrix, b: PosDefMatrix, t: float) -> PosDefMatrix:
@@ -209,14 +265,15 @@ def karcher_mean(mats: Sequence[PosDefMatrix], cfg: MeanConfig = MeanConfig()) -
     Damped fixed-point iteration started at the arithmetic mean; the step is
     shrunk whenever the gradient norm fails to decrease, and the result
     satisfies ||sum_j log(x^{-1/2} a_j x^{-1/2})||_F <= karcher_tol * n.
+    The one-tuple case of the stacked kernel that measure_mean runs.
     """
     return karcher_mean_info(mats, cfg)[0]
 
 
 def karcher_mean_info(mats: Sequence[PosDefMatrix],
                       cfg: MeanConfig = MeanConfig()) -> tuple[PosDefMatrix, MeanIterationInfo]:
-    x, info = _karcher(_collect(mats), cfg)
-    return _wrap(x), info
+    x, res, iters, step = _karcher(_collect(mats)[:, None], cfg)
+    return _wrap(x[0]), MeanIterationInfo(float(res[0]), int(iters[0]), float(step[0]))
 
 
 def karcher_residual(x: PosDefMatrix, mats: Sequence[PosDefMatrix]) -> float:
@@ -224,8 +281,8 @@ def karcher_residual(x: PosDefMatrix, mats: Sequence[PosDefMatrix]) -> float:
     arrs = _collect(mats)
     if x.dim != mats[0].dim:
         raise DimensionMismatch("dimension mismatch between candidate and family")
-    grad, _, _ = _log_sum(x.a, arrs)
-    return frobenius(grad)
+    grad, _ = _log_sum(x.a[None], arrs[:, None])
+    return float(_norms(grad)[0])
 
 
 def power_mean(mats: Sequence[PosDefMatrix], t: float,
@@ -266,6 +323,12 @@ def measure_mean(kind: str, mus: Sequence[FinMeasure],
     atoms.  Beyond the cap, cfg.mc_samples independent draws from each factor
     are averaged instead (seeded, reproducible); the sample count is recorded
     under meta["mc_samples"].
+
+    The tuples, in product or draw order, are gathered by index into one
+    (n, N, d, d) stack.  Arithmetic and harmonic means are closed forms over
+    the stack and the Karcher mean one stacked iteration whose atoms equal
+    karcher_mean of their tuple bit for bit; power means are solved tuple by
+    tuple.  from_atoms then pools coinciding means.
     """
     if kind not in MEAN_KINDS:
         raise ValueError(f"unknown mean kind {kind!r}; expected one of {MEAN_KINDS}")
@@ -275,19 +338,31 @@ def measure_mean(kind: str, mus: Sequence[FinMeasure],
     for m in mus:
         if m.dim != d:
             raise DimensionMismatch("measures have mixed dimensions")
-    try:
-        pm = product(mus, cfg.product_cap)
-    except ProductCapExceeded:
-        if cfg.mc_samples is None:
-            raise
+    sizes = [m.size for m in mus]
+    size = math.prod(sizes)
+    if size <= cfg.product_cap:
+        idx = np.indices(sizes).reshape(len(mus), -1)
+        weights = np.ones(size)
+        for m, col in zip(mus, idx):
+            weights = weights * m.weights[col]
+        meta = {"mode": "exact"}
+    elif cfg.mc_samples is None:
+        raise ProductCapExceeded(size, cfg.product_cap)
+    else:
         k = cfg.mc_samples
         rng = make_rng(cfg.seed)
-        draws = [sample(m, k, rng) for m in mus]
-        pairs = [(tuple_mean(kind, [col[i] for col in draws], cfg), 1.0 / k)
-                 for i in range(k)]
-        return from_atoms(pairs, meta={"mode": "sampled", "mc_samples": k})
-    pairs = [(tuple_mean(kind, list(tup), cfg), w) for tup, w in pm.atoms()]
-    return from_atoms(pairs, meta={"mode": "exact"})
+        idx = np.stack([_draw(m, k, rng) for m in mus])
+        weights = np.full(k, 1.0 / k)
+        meta = {"mode": "sampled", "mc_samples": k}
+    if kind == "power":
+        points = [tuple_mean(kind, [m.points[i] for m, i in zip(mus, tup)], cfg)
+                  for tup in idx.T.tolist()]
+    else:
+        a = np.stack([m.arrays[col] for m, col in zip(mus, idx)])
+        out = (_arith(a) if kind == "arith" else _harm(a) if kind == "harm"
+               else _karcher(a, cfg)[0])
+        points = [_wrap(x) for x in out]
+    return from_atoms(zip(points, weights), meta=meta)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 from . import _flow
 from .cone import OrderTolerance, PosDefMatrix, loewner_pairwise
 from .matfun import DimensionMismatch, frobenius
-from .measure import ATOM_MERGE_TOL, FinMeasure, make_rng
+from .measure import FinMeasure, _merge_slots, make_rng
 from .transport import Coupling
 
 __all__ = [
@@ -105,31 +105,19 @@ def verdict_to_json_dict(verdict: DominanceVerdict) -> dict:
 
 
 def _merged_support(mu: FinMeasure, nu: FinMeasure):
-    """Merged atom list with per-measure masses and atom-index maps."""
-    points: list[PosDefMatrix] = []
-    mu_mass: list[float] = []
-    nu_mass: list[float] = []
+    """Merged atom list with per-measure masses and atom-index maps.
 
-    def locate(p: PosDefMatrix) -> int:
-        for k, q in enumerate(points):
-            if frobenius(p.a - q.a) <= ATOM_MERGE_TOL:
-                return k
-        points.append(p)
-        mu_mass.append(0.0)
-        nu_mass.append(0.0)
-        return len(points) - 1
-
-    mu_idx = []
-    for p, w in mu.atoms:
-        k = locate(p)
-        mu_mass[k] += w
-        mu_idx.append(k)
-    nu_idx = []
-    for p, w in nu.atoms:
-        k = locate(p)
-        nu_mass[k] += w
-        nu_idx.append(k)
-    return points, mu_mass, nu_mass, mu_idx, nu_idx
+    mu's atoms come first, then nu's; the list is their first-seen merge,
+    the rule of measure.from_atoms, so a nu atom within ATOM_MERGE_TOL of an
+    earlier atom pools into it.
+    """
+    keep, slot = _merge_slots(np.concatenate([mu.arrays, nu.arrays]))
+    points = mu.points + nu.points
+    mu_idx, nu_idx = slot[:mu.size], slot[mu.size:]
+    mu_mass = np.bincount(mu_idx, weights=mu.weights, minlength=len(keep))
+    nu_mass = np.bincount(nu_idx, weights=nu.weights, minlength=len(keep))
+    return ([points[k] for k in keep], mu_mass.tolist(), nu_mass.tolist(),
+            mu_idx.tolist(), nu_idx.tolist())
 
 
 def _leq_matrix(xs: Sequence[PosDefMatrix], ys: Sequence[PosDefMatrix],
@@ -325,6 +313,32 @@ class ProbeResult:
         return self.ok
 
 
+def _draw_hinge(rng: np.random.Generator, d: int, points: Sequence[PosDefMatrix]):
+    """Random order-monotone functional mu -> int phi(tr(B x)) dmu: a unit
+    positive-semidefinite direction B and the increasing ramp
+    phi(t) = sum_k c_k max(0, t - knot_k), whose one to three knots spread
+    over the traces of the points, the lowest trace always among them.
+
+    Returns the functional and its parameters as witness fields.
+    """
+    g = rng.standard_normal((d, d))
+    b = g @ g.T
+    b /= frobenius(b)
+    traces = [float((b * p.a).sum()) for p in points]
+    lo, hi = min(traces), max(traces)
+    n_knots = int(rng.integers(1, 4))
+    knots = np.concatenate(([lo], rng.uniform(lo, max(hi, lo + 1e-12), n_knots)))
+    coeffs = rng.uniform(0.1, 1.0, n_knots + 1)
+
+    def integral(mu: FinMeasure) -> float:
+        t = np.array([float((b * p.a).sum()) for p in mu.points])
+        return float(np.dot(mu.weights, sum(cf * np.maximum(0.0, t - kn)
+                                            for kn, cf in zip(knots, coeffs))))
+
+    fields = {"direction": b.tolist(), "knots": knots.tolist(), "coefficients": coeffs.tolist()}
+    return integral, fields
+
+
 def probe_monotone_functionals(mu: FinMeasure, nu: FinMeasure, trials: int,
                                seed: int, tol: float = DEFAULT_MASS_TOL) -> ProbeResult:
     """Necessary-condition falsifier for dominance.
@@ -339,35 +353,10 @@ def probe_monotone_functionals(mu: FinMeasure, nu: FinMeasure, trials: int,
     if trials < 0:
         raise ValueError("trials must be >= 0")
     rng = make_rng(seed)
-    d = mu.dim
     for trial in range(trials):
-        g = rng.standard_normal((d, d))
-        b = g @ g.T
-        b /= frobenius(b)
-        t_mu = np.array([float((b * p.a).sum()) for p in mu.points])
-        t_nu = np.array([float((b * p.a).sum()) for p in nu.points])
-        lo = min(t_mu.min(), t_nu.min())
-        hi = max(t_mu.max(), t_nu.max())
-        n_knots = int(rng.integers(1, 4))
-        knots = np.concatenate(([lo], rng.uniform(lo, max(hi, lo + 1e-12), n_knots)))
-        coeffs = rng.uniform(0.1, 1.0, n_knots + 1)
-
-        def phi(t: np.ndarray) -> np.ndarray:
-            acc = np.zeros_like(t)
-            for kn, cf in zip(knots, coeffs):
-                acc += cf * np.maximum(0.0, t - kn)
-            return acc
-
-        int_mu = float(np.dot(mu.weights, phi(t_mu)))
-        int_nu = float(np.dot(nu.weights, phi(t_nu)))
+        integral, fields = _draw_hinge(rng, mu.dim, mu.points + nu.points)
+        int_mu, int_nu = integral(mu), integral(nu)
         if int_mu > int_nu + tol:
-            witness = {
-                "trial": trial,
-                "direction": b.tolist(),
-                "knots": knots.tolist(),
-                "coefficients": coeffs.tolist(),
-                "integral_mu": int_mu,
-                "integral_nu": int_nu,
-            }
-            return ProbeResult(False, witness)
+            return ProbeResult(False, {"trial": trial, **fields,
+                                       "integral_mu": int_mu, "integral_nu": int_nu})
     return ProbeResult(True, None)

@@ -3,9 +3,11 @@
 Everything here is deliberately naive: a pure-Python cyclic Jacobi
 eigensolver (the package uses LAPACK), numpy's eigensolver on the
 inverse-square-root route to the Thompson metric (the package whitens by a
-Cholesky factor), a 60-digit mpmath Thompson distance, a 2^n subset filter
-for upper sets, Hall's condition for coupling feasibility, and exhaustive
-basic-solution enumeration for transportation optima.  None of it shares
+Cholesky factor), a 60-digit mpmath Thompson distance, all-pairs Frobenius
+scans for atom merging and matching (the package uses a projection-sorted
+atom index), a 2^n subset filter for upper sets, Hall's condition for
+coupling feasibility, and exhaustive basic-solution enumeration for
+transportation optima.  None of it shares
 code with the package's own algorithms.
 """
 from __future__ import annotations
@@ -222,6 +224,102 @@ def merged_support(mu: FinMeasure, nu: FinMeasure):
             keep.append(k)
     return ([pts[k] for k in keep], [mu_mass[k] for k in keep],
             [nu_mass[k] for k in keep])
+
+
+# The package's former all-pairs atom scans, kept verbatim as oracles for the
+# atom index: the first-seen merge of from_atoms, the separation check of
+# FinMeasure, the merged support of the dominance deciders and the greedy
+# matching of measures_allclose.
+
+ATOM_MERGE_TOL = 1e-10
+
+
+def frobenius(a) -> float:
+    arr = np.asarray(a, dtype=float)
+    return float(np.sqrt((arr * arr).sum()))
+
+
+def quadratic_merge(pairs):
+    """First-seen merge by comparing each atom with every kept atom; returns
+    (kept points, normalized weights)."""
+    points = []
+    weights = []
+    for k, (p, w) in enumerate(pairs):
+        w = float(w)
+        if not math.isfinite(w) or w < 0.0:
+            raise ValueError(f"weight {k} is {w!r}; weights must be finite and >= 0")
+        if w == 0.0:
+            continue
+        for i, q in enumerate(points):
+            if frobenius(p.a - q.a) <= ATOM_MERGE_TOL:
+                weights[i] += w
+                break
+        else:
+            points.append(p)
+            weights.append(w)
+    total = sum(weights)
+    if total <= 0.0:
+        raise ValueError("total weight must be positive")
+    return points, np.asarray(weights) / total
+
+
+def quadratic_coinciding_pair(points):
+    """First pair (i, j), i < j, of atoms within ATOM_MERGE_TOL, or None."""
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if frobenius(points[i].a - points[j].a) <= ATOM_MERGE_TOL:
+                return i, j
+    return None
+
+
+def quadratic_merged_support(mu: FinMeasure, nu: FinMeasure):
+    """Merged atom list with per-measure masses and atom-index maps."""
+    points = []
+    mu_mass = []
+    nu_mass = []
+
+    def locate(p):
+        for k, q in enumerate(points):
+            if frobenius(p.a - q.a) <= ATOM_MERGE_TOL:
+                return k
+        points.append(p)
+        mu_mass.append(0.0)
+        nu_mass.append(0.0)
+        return len(points) - 1
+
+    mu_idx = []
+    for p, w in mu.atoms:
+        k = locate(p)
+        mu_mass[k] += w
+        mu_idx.append(k)
+    nu_idx = []
+    for p, w in nu.atoms:
+        k = locate(p)
+        nu_mass[k] += w
+        nu_idx.append(k)
+    return points, mu_mass, nu_mass, mu_idx, nu_idx
+
+
+def greedy_allclose(mu: FinMeasure, nu: FinMeasure,
+                    atom_tol: float = 1e-9, weight_tol: float = 1e-9) -> bool:
+    """Atom-wise equality up to a permutation, by greedy nearest matching."""
+    if mu.dim != nu.dim or mu.size != nu.size:
+        return False
+    used = [False] * nu.size
+    for p, w in mu.atoms:
+        best, best_d = -1, math.inf
+        for j, (q, _) in enumerate(nu.atoms):
+            if used[j]:
+                continue
+            dist = frobenius(p.a - q.a)
+            if dist < best_d:
+                best, best_d = j, dist
+        if best < 0 or best_d > atom_tol:
+            return False
+        if abs(w - float(nu.weights[best])) > weight_tol:
+            return False
+        used[best] = True
+    return True
 
 
 def brute_stochastic_dominance(mu: FinMeasure, nu: FinMeasure, leq_fn,

@@ -1,6 +1,8 @@
 """End-to-end checks of the command-line surface against library calls."""
+import hashlib
 import json
 import math
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -344,3 +346,24 @@ def test_experiment_failure_would_exit_1(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: FakeResult())
     code, out, _ = run(capsys, "experiment", "agh", "--count", 1)
     assert code == 1
+
+
+# SHA-256 of `experiment <name> --seed 42 --out <file>` (default counts) at
+# the commit before the hinge functional was shared between the
+# monotone-functional probe and the chain experiment.  Float bytes depend
+# on the numpy/BLAS/LAPACK build, so the digests hold for the build they
+# were recorded with (numpy 2.4.6 on x86_64 Linux, OpenBLAS).
+PARENT_DIGESTS = {
+    "closedness": "3954091484ae9c1f6a16218fff9adb7c3b58ed53a4d8b87c5e524b1ba1cd1fc7",
+    "monotone-chain": "a76ea3e3a2f486ebff71561e59fae15a43b15405d72a927a3380da5d790be0cf",
+    "agh": "6b478bbb02b5ef62d46a6df438c365498502d4edd9b14338df6d92debe94e2d8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARENT_DIGESTS))
+def test_experiment_csv_bytes_match_recorded_digest(capsys, tmp_path, name):
+    if np.__version__ != "2.4.6" or platform.machine() != "x86_64":
+        pytest.skip("digests were recorded with numpy 2.4.6 on x86_64")
+    out = tmp_path / f"{name}.csv"
+    assert run(capsys, "experiment", name, "--seed", 42, "--out", out)[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PARENT_DIGESTS[name]

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import stochcone.means as means
 from stochcone import (
     DimensionMismatch,
     MaxIterationsExceeded,
@@ -29,6 +31,7 @@ from stochcone import (
     power_mean,
     product_metric_distance,
     push_forward,
+    sample,
     sym,
     thompson_distance,
     translate,
@@ -387,3 +390,85 @@ def test_translation_monotonicity_of_measures():
         shift = sym(rand_psd_array(rng, 2))
         nu = push_forward(mu, lambda p: translate(p, shift))
         assert dominates_by_coupling(mu, nu, tol=1e-8)
+
+
+# ------------------------------------------------------ stacked measure means
+
+
+def separated_measure(rng, d, n_atoms):
+    return from_atoms([(rand_pd(rng, d), float(rng.random()) + 0.1) for _ in range(n_atoms)])
+
+
+def test_karcher_step_collapse_reports_the_step():
+    # a tolerance no input allows forces rejected steps once the iteration
+    # reaches rounding level; a tiny shrink factor collapses the step at once
+    rng = make_rng(112)
+    mats = family(rng, 3, 3)
+    cfg = MeanConfig(karcher_tol=1e-300, step_shrink=1e-13)
+    with pytest.raises(MaxIterationsExceeded) as e:
+        karcher_mean(mats, cfg)
+    msg = str(e.value)
+    assert msg.startswith("Karcher step search stalled: step size collapsed to 1.000e-13")
+    assert "iterations" not in msg
+    assert e.value.step == 1e-13
+    mus = [from_atoms([(m, 1.0), (rand_pd(rng, 3), 1.0)]) for m in mats]
+    with pytest.raises(MaxIterationsExceeded) as e:
+        measure_mean("karcher", mus, cfg)
+    assert str(e.value).startswith("Karcher step search on tuple 0 stalled: step size collapsed")
+
+
+def test_karcher_iteration_cap_names_the_tuple():
+    rng = make_rng(113)
+    b, c, d = (rand_pd(rng, 3, 2.5) for _ in range(3))
+    mus = [from_atoms([(posdef_eye(3), 1.0), (b, 1.0)]),
+           from_atoms([(posdef_eye(3), 1.0), (c, 1.0)]), dirac(d)]
+    # tuple 0, (I, I, d), commutes: one full step solves it exactly, so the
+    # first tuple over the cap is tuple 1, (I, c, d)
+    with pytest.raises(MaxIterationsExceeded, match="^Karcher iteration on tuple 1 did not "
+                                                   "converge within 1 iterations"):
+        measure_mean("karcher", mus, MeanConfig(max_iter=1))
+
+
+def test_karcher_measure_mean_atoms_equal_karcher_mean_bitwise():
+    rng = make_rng(114)
+    mus = [separated_measure(rng, 3, k) for k in (3, 4, 2)]
+    got = measure_mean("karcher", mus)
+    tuples = list(itertools.product(*(m.points for m in mus)))
+    assert got.size == len(tuples)
+    for x, tup in zip(got.points, tuples):
+        assert np.array_equal(x.a, karcher_mean(list(tup)).a)
+    # sampled: the same draws, each mean computed alone, pooled the same way
+    cfg = MeanConfig(product_cap=4, mc_samples=30, seed=11)
+    got = measure_mean("karcher", mus, cfg)
+    gen = make_rng(11)
+    draws = [sample(m, 30, gen) for m in mus]
+    want = from_atoms([(karcher_mean([col[i] for col in draws]), 1.0 / 30) for i in range(30)])
+    assert got.size == want.size < 30
+    assert np.array_equal(got.arrays, want.arrays)
+    assert np.array_equal(got.weights, want.weights)
+
+
+def test_karcher_measure_mean_eig_calls_follow_iterations_not_atoms(count_calls):
+    rng = make_rng(115)
+    mus = [separated_measure(rng, 2, 16) for _ in range(2)]
+    iters = max(karcher_mean_info([x, y])[1].iterations
+                for x in mus[0].points for y in mus[1].points)
+    eig = count_calls(means, "_eig")
+    got = measure_mean("karcher", mus)
+    assert got.size == 256
+    # two batched calls for the start, three per stacked iteration
+    assert len(eig) == 2 + 3 * iters
+    assert len(eig) < 256
+
+
+def test_arith_measure_mean_of_4096_atoms_matches_tuple_oracle():
+    rng = make_rng(116)
+    mus = [separated_measure(rng, 2, 16) for _ in range(3)]
+    got = measure_mean("arith", mus)
+    assert got.size == 4096
+    assert got.meta == {"mode": "exact"}
+    tuples = list(itertools.product(*(m.atoms for m in mus)))
+    want = np.array([np.mean([p.a for p, _ in tup], axis=0) for tup in tuples])
+    assert np.allclose(got.arrays, want, rtol=1e-14, atol=0.0)
+    want_w = np.array([math.prod(w for _, w in tup) for tup in tuples])
+    assert np.allclose(got.weights, want_w, rtol=1e-14, atol=0.0)
