@@ -35,7 +35,6 @@ from .measure import (
     ATOM_MERGE_TOL,
     FinMeasure,
     ProductCapExceeded,
-    ProductMeasure,
     PushForwardError,
     dirac,
     from_atoms,
@@ -44,7 +43,6 @@ from .measure import (
     measure_from_json,
     measure_to_json,
     measures_allclose,
-    product,
     push_forward,
     sample,
 )

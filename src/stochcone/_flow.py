@@ -119,7 +119,8 @@ def bipartite_max_flow(supply: Sequence[int], demand: Sequence[int],
     r, c = len(supply), len(demand)
     s, t = r + c, r + c + 1
     g = Dinic(r + c + 2)
-    src_arcs = [g.add_edge(s, i, int(supply[i])) for i in range(r)]
+    for i in range(r):
+        g.add_edge(s, i, int(supply[i]))
     cross: list[list[int]] = [[-1] * c for _ in range(r)]
     big = sum(supply) + 1
     for i in range(r):
@@ -133,7 +134,6 @@ def bipartite_max_flow(supply: Sequence[int], demand: Sequence[int],
     flow = [[g.flow_on(cross[i][j]) if cross[i][j] >= 0 else 0 for j in range(c)]
             for i in range(r)]
     reach = g.min_cut_source_side(s)
-    del src_arcs
     return value, flow, [reach[i] for i in range(r)]
 
 

@@ -1,15 +1,15 @@
 """Matrix means on the positive-definite cone and their lifts to finitely
 supported measures.
 
-Arithmetic, harmonic and Karcher means run on (n, N, d, d) stacks of N
-tuples, one batched eigendecomposition per spectral step; the one-tuple
-functions are their N = 1 case.  The Karcher mean is found by a damped
-fixed-point iteration on the matrix exponential/logarithm; power means by
-their defining fixed point, one tuple at a time, with the negative orders
-obtained from the positive ones by inversion duality.  Measure-level means
-push the product measure forward through the matching tuple mean, exactly
-when the product support fits under the configured cap and by seeded Monte
-Carlo sampling otherwise.
+Every mean runs on (n, N, d, d) stacks of N tuples, one batched
+eigendecomposition per spectral step; the one-tuple functions are their
+N = 1 case.  Arithmetic and harmonic means are closed forms, the Karcher
+mean is found by a damped fixed-point iteration on the matrix
+exponential/logarithm, and power means by their defining fixed point, with
+the negative orders obtained from the positive ones by inversion duality.
+Measure-level means push the product measure forward through the matching
+tuple mean, exactly when the product support fits under the configured cap
+and by seeded Monte Carlo sampling otherwise.
 """
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cone import PosDefMatrix, thompson_arrays
-from .matfun import DimensionMismatch, SpectralDomainError, SymMatrix, _apply, _eig, _fn
+from .cone import PosDefMatrix
+from .matfun import DimensionMismatch, SpectralDomainError, SymMatrix, _eig
 from .measure import FinMeasure, ProductCapExceeded, _draw, from_atoms, make_rng
 from .order import DominanceVerdict, dominates_by_coupling
 
@@ -141,40 +141,44 @@ def _positive(fn: str, w: np.ndarray) -> None:
         raise SpectralDomainError(fn, float(low[~(low > 0.0)][0]))
 
 
-def _spectral(a: np.ndarray, fn: str) -> np.ndarray:
+def _spectral(a: np.ndarray, fn: str, t: float | None = None) -> np.ndarray:
     """Spectral map of every matrix of a (..., d, d) stack from one batched
-    eigendecomposition; all maps but exp need a positive spectrum."""
+    eigendecomposition: log, exp, inv, or pow with exponent t; all maps but
+    exp need a positive spectrum."""
     w, q = _eig(a)
     if fn != "exp":
         _positive(fn, w)
-    return _assemble(q, _ARRAY_MAPS[fn](w))
+    return _assemble(q, w ** t if fn == "pow" else _ARRAY_MAPS[fn](w))
 
 
 def _harm(a: np.ndarray) -> np.ndarray:
     return _spectral(_arith(_spectral(a, "inv")), "inv")
 
 
-def _geo_t(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
-    wa, qa = _eig(a, True)
-    if wa[0] <= 0.0:
-        raise ValueError("geometric interpolation needs positive-definite inputs")
-    rs = _apply(wa, qa, "inv_sqrt")
-    sq = _apply(wa, qa, "sqrt")
-    inner = rs @ b @ rs
-    mid = _fn((inner + inner.T) / 2.0, "pow", t)
-    out = sq @ mid @ sq
-    return (out + out.T) / 2.0
+def _roots(x: np.ndarray):
+    """x^{1/2} and x^{-1/2} for every matrix of a stack, from one batched
+    eigendecomposition."""
+    w, q = _eig(x)
+    _positive("inv_sqrt", w)
+    root = np.sqrt(w)
+    return _assemble(q, root), _assemble(q, 1.0 / root)
 
 
 def _log_sum(x: np.ndarray, a: np.ndarray):
     """For an (N, d, d) stack x and an (n, N, d, d) stack of tuples: the sums
     of log(x^{-1/2} a_j x^{-1/2}) over each tuple, plus x^{1/2}."""
-    w, q = _eig(x)
-    _positive("inv_sqrt", w)
-    root = np.sqrt(w)
-    rs = _assemble(q, 1.0 / root)
+    sq, rs = _roots(x)
     logs = _spectral(_sym(rs @ a @ rs), "log")
-    return _sym(_tuple_sum(logs)), _assemble(q, root)
+    return _sym(_tuple_sum(logs)), sq
+
+
+def _geo_mean(x: np.ndarray, a: np.ndarray, t: float):
+    """For an (N, d, d) stack x and an (n, N, d, d) stack of tuples: the
+    means (1/n) sum_j x #_t a_j, computed as
+    x^{1/2} ((1/n) sum_j (x^{-1/2} a_j x^{-1/2})^t) x^{1/2}, plus x^{-1/2}."""
+    sq, rs = _roots(x)
+    mid = _arith(_spectral(_sym(rs @ a @ rs), "pow", t))
+    return _sym(sq @ mid @ sq), rs
 
 
 def _norms(g: np.ndarray) -> np.ndarray:
@@ -225,20 +229,44 @@ def _karcher(a: np.ndarray, cfg: MeanConfig):
     return x, res, iters, step
 
 
-def _power(arrs: list[np.ndarray], t: float, cfg: MeanConfig):
+def _power(a: np.ndarray, t: float, cfg: MeanConfig):
+    """Power means of order t of an (n, N, d, d) stack of N tuples, as arrays
+    of (means, error bounds, iterations).
+
+    Iterates x <- (1/n) sum_j x #_|t| a_j from the arithmetic mean, on the
+    inverted tuples when t < 0.  The map contracts the Thompson metric by
+    1 - |t| and inversion is a Thompson isometry, so the Banach bound
+    (1 - |t|)/|t| * d_T(x_k, x_{k-1}) bounds the distance of x_k to the
+    mean; a tuple stops once it is at most karcher_tol.  Batched operations
+    act matrix by matrix, so a tuple's result is bitwise the same alone and
+    in any batch.  Live tuples share their iteration count, so the lowest
+    one left at max_iter raises MaxIterationsExceeded.
+    """
+    if t == 0.0:
+        raise ValueError("t = 0 is the Karcher limit; call karcher_mean instead")
+    if not (-1.0 <= t <= 1.0):
+        raise ValueError(f"power mean order must lie in [-1, 1], got {t}")
+    s = abs(t)
     if t < 0.0:
-        inv_out, info = _power([_fn(a, "inv") for a in arrs], -t, cfg)
-        return _fn(inv_out, "inv"), info
-    n = len(arrs)
-    x = _arith(arrs)
-    diff = math.inf
+        a = _spectral(a, "inv")
+    count = a.shape[1]
+    x = _arith(a)
+    bound = np.full(count, math.inf)
+    iters = np.zeros(count, dtype=int)
+    live = np.arange(count)
     for it in range(1, cfg.max_iter + 1):
-        nxt = _arith([_geo_t(x, a, t) for a in arrs])
-        diff = thompson_arrays(nxt, x)
-        x = nxt
-        if diff <= cfg.karcher_tol:
-            return x, MeanIterationInfo(diff, it, 1.0)
-    raise MaxIterationsExceeded(f"power mean (t={t})", diff, cfg.max_iter)
+        nxt, rs = _geo_mean(x[live], a[:, live], s)
+        w, _ = _eig(_sym(rs @ nxt @ rs), want_vectors=False)
+        _positive("log", w)
+        x[live] = nxt
+        bound[live] = (1.0 - s) / s * np.maximum(np.log(w[:, -1]), -np.log(w[:, 0]))
+        iters[live] = it
+        live = live[bound[live] > cfg.karcher_tol]
+        if not live.size:
+            return (_spectral(x, "inv") if t < 0.0 else x), bound, iters
+    k = int(live[0])
+    where = "" if count == 1 else f" on tuple {k}"
+    raise MaxIterationsExceeded(f"power mean (t={t}){where}", float(bound[k]), cfg.max_iter)
 
 
 def arith_mean(mats: Sequence[PosDefMatrix]) -> PosDefMatrix:
@@ -256,7 +284,7 @@ def geo_t(a: PosDefMatrix, b: PosDefMatrix, t: float) -> PosDefMatrix:
     if not (0.0 <= t <= 1.0):
         raise ValueError(f"interpolation weight must lie in [0, 1], got {t}")
     arrs = _collect([a, b])
-    return _wrap(_geo_t(arrs[0], arrs[1], t))
+    return _wrap(_geo_mean(arrs[0][None], arrs[1][None, None], t)[0][0])
 
 
 def karcher_mean(mats: Sequence[PosDefMatrix], cfg: MeanConfig = MeanConfig()) -> PosDefMatrix:
@@ -292,27 +320,33 @@ def power_mean(mats: Sequence[PosDefMatrix], t: float,
     Positive orders solve the fixed point x = (1/n) sum_j x #_t a_j; negative
     orders are the inversion duals of the positive ones.  The order-0 limit
     is the Karcher mean; request it through karcher_mean.
+
+    The iteration contracts the Thompson metric by 1 - |t| and stops on the
+    Banach a-posteriori bound, so the result lies within karcher_tol of the
+    exact power mean in the Thompson metric, up to rounding.  The one-tuple
+    case of the stacked kernel that measure_mean runs.
     """
-    if t == 0.0:
-        raise ValueError("t = 0 is the Karcher limit; call karcher_mean instead")
-    if not (-1.0 <= t <= 1.0):
-        raise ValueError(f"power mean order must lie in [-1, 1], got {t}")
-    x, _ = _power(_collect(mats), t, cfg)
-    return _wrap(x)
+    return _wrap(_power(_collect(mats)[:, None], t, cfg)[0][0])
+
+
+def _stacked_mean(kind: str, a: np.ndarray, cfg: MeanConfig) -> np.ndarray:
+    """The named mean of every tuple of an (n, N, d, d) stack."""
+    if kind == "arith":
+        return _arith(a)
+    if kind == "harm":
+        return _harm(a)
+    if kind == "karcher":
+        return _karcher(a, cfg)[0]
+    if kind == "power":
+        return _power(a, cfg.power_t, cfg)[0]
+    raise ValueError(f"unknown mean kind {kind!r}; expected one of {MEAN_KINDS}")
 
 
 def tuple_mean(kind: str, mats: Sequence[PosDefMatrix],
                cfg: MeanConfig = MeanConfig()) -> PosDefMatrix:
-    """Dispatch a named mean over a tuple of points."""
-    if kind == "arith":
-        return arith_mean(mats)
-    if kind == "harm":
-        return harm_mean(mats)
-    if kind == "karcher":
-        return karcher_mean(mats, cfg)
-    if kind == "power":
-        return power_mean(mats, cfg.power_t, cfg)
-    raise ValueError(f"unknown mean kind {kind!r}; expected one of {MEAN_KINDS}")
+    """Dispatch a named mean over a tuple of points: the one-tuple case of
+    the stacked kernels."""
+    return _wrap(_stacked_mean(kind, _collect(mats)[:, None], cfg)[0])
 
 
 def measure_mean(kind: str, mus: Sequence[FinMeasure],
@@ -326,9 +360,9 @@ def measure_mean(kind: str, mus: Sequence[FinMeasure],
 
     The tuples, in product or draw order, are gathered by index into one
     (n, N, d, d) stack.  Arithmetic and harmonic means are closed forms over
-    the stack and the Karcher mean one stacked iteration whose atoms equal
-    karcher_mean of their tuple bit for bit; power means are solved tuple by
-    tuple.  from_atoms then pools coinciding means.
+    the stack; Karcher and power means are one stacked iteration each, whose
+    atoms equal karcher_mean and power_mean of their tuple bit for bit.
+    from_atoms then pools coinciding means.
     """
     if kind not in MEAN_KINDS:
         raise ValueError(f"unknown mean kind {kind!r}; expected one of {MEAN_KINDS}")
@@ -354,14 +388,8 @@ def measure_mean(kind: str, mus: Sequence[FinMeasure],
         idx = np.stack([_draw(m, k, rng) for m in mus])
         weights = np.full(k, 1.0 / k)
         meta = {"mode": "sampled", "mc_samples": k}
-    if kind == "power":
-        points = [tuple_mean(kind, [m.points[i] for m, i in zip(mus, tup)], cfg)
-                  for tup in idx.T.tolist()]
-    else:
-        a = np.stack([m.arrays[col] for m, col in zip(mus, idx)])
-        out = (_arith(a) if kind == "arith" else _harm(a) if kind == "harm"
-               else _karcher(a, cfg)[0])
-        points = [_wrap(x) for x in out]
+    a = np.stack([m.arrays[col] for m, col in zip(mus, idx)])
+    points = [_wrap(x) for x in _stacked_mean(kind, a, cfg)]
     return from_atoms(zip(points, weights), meta=meta)
 
 

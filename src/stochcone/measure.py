@@ -13,7 +13,7 @@ import functools
 import json
 import math
 from dataclasses import InitVar, dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .matfun import DimensionMismatch
 
 __all__ = [
     "FinMeasure",
-    "ProductMeasure",
     "ATOM_MERGE_TOL",
     "ProductCapExceeded",
     "PushForwardError",
@@ -31,7 +30,6 @@ __all__ = [
     "from_atoms",
     "push_forward",
     "invert",
-    "product",
     "sample",
     "measure_to_json",
     "measure_from_json",
@@ -40,7 +38,6 @@ __all__ = [
 
 ATOM_MERGE_TOL = 1e-10
 _WEIGHT_SUM_TOL = 1e-12
-DEFAULT_PRODUCT_CAP = 4096
 _GOLDEN = 0.6180339887498949
 
 
@@ -282,52 +279,6 @@ def invert(mu: FinMeasure) -> FinMeasure:
     from .matfun import matrix_fn  # local import to keep module load light
 
     return push_forward(mu, lambda p: PosDefMatrix(matrix_fn(p.m, "inv"), p.pd_floor))
-
-
-@dataclass(frozen=True, eq=False)
-class ProductMeasure:
-    """Lazy product of finitely many measures on a common cone."""
-
-    factors: tuple[FinMeasure, ...]
-
-    def __post_init__(self):
-        if not self.factors:
-            raise ValueError("empty product")
-        d = self.factors[0].dim
-        for m in self.factors:
-            if m.dim != d:
-                raise DimensionMismatch("product factors have mixed dimensions")
-
-    @property
-    def size(self) -> int:
-        n = 1
-        for m in self.factors:
-            n *= m.size
-        return n
-
-    @property
-    def dim(self) -> int:
-        return self.factors[0].dim
-
-    def atoms(self) -> Iterator[tuple[tuple[PosDefMatrix, ...], float]]:
-        """Stream of (atom tuple, product weight), in lexicographic order."""
-
-        def rec(k: int, pts: tuple, w: float):
-            if k == len(self.factors):
-                yield pts, w
-                return
-            for p, wk in self.factors[k].atoms:
-                yield from rec(k + 1, pts + (p,), w * wk)
-
-        return rec(0, (), 1.0)
-
-
-def product(measures: Sequence[FinMeasure], cap: int = DEFAULT_PRODUCT_CAP) -> ProductMeasure:
-    """Product measure, guarded by the materialization cap."""
-    pm = ProductMeasure(tuple(measures))
-    if pm.size > cap:
-        raise ProductCapExceeded(pm.size, cap)
-    return pm
 
 
 def _draw(mu: FinMeasure, k: int, rng: int | np.random.Generator) -> np.ndarray:

@@ -7,8 +7,10 @@ Cholesky factor), a 60-digit mpmath Thompson distance, all-pairs Frobenius
 scans for atom merging and matching (the package uses a projection-sorted
 atom index), a 2^n subset filter for upper sets, Hall's condition for
 coupling feasibility, and exhaustive basic-solution enumeration for
-transportation optima.  None of it shares
-code with the package's own algorithms.
+transportation optima.  None of it shares code with the package's own
+algorithms, except the scalar power-mean iteration (the package iterates
+(n, N, d, d) stacks): it solves one tuple at a time, forms each x #_t a_j
+apart through matfun's per-eigenvalue maps, and stops on the step size.
 """
 from __future__ import annotations
 
@@ -18,6 +20,9 @@ import math
 import numpy as np
 
 from stochcone import EigenConvergenceError, FinMeasure, PosDefMatrix, from_atoms, posdef
+from stochcone.cone import thompson_arrays
+from stochcone.matfun import _apply, _eig, _fn
+from stochcone.means import MaxIterationsExceeded, MeanIterationInfo, _arith
 
 _MAX_SWEEPS = 64
 # stop a sweep pass once the off-diagonal Frobenius mass is this far below
@@ -177,6 +182,37 @@ def numpy_thompson(ax: np.ndarray, ay: np.ndarray) -> float:
     s = (qy * (1.0 / np.sqrt(wy))) @ qy.T
     w = np.linalg.eigvalsh(s @ ax @ s)
     return float(max(0.0, np.log(w[-1]), -np.log(w[0])))
+
+
+def _geo_t(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
+    wa, qa = _eig(a, True)
+    if wa[0] <= 0.0:
+        raise ValueError("geometric interpolation needs positive-definite inputs")
+    rs = _apply(wa, qa, "inv_sqrt")
+    sq = _apply(wa, qa, "sqrt")
+    inner = rs @ b @ rs
+    mid = _fn((inner + inner.T) / 2.0, "pow", t)
+    out = sq @ mid @ sq
+    return (out + out.T) / 2.0
+
+
+def _power(arrs: list[np.ndarray], t: float, cfg):
+    """Power mean of order t of one tuple of arrays: the fixed point of
+    x = (1/n) sum_j x #_t a_j, stopped once a step moves x by at most
+    cfg.karcher_tol in the Thompson metric."""
+    if t < 0.0:
+        inv_out, info = _power([_fn(a, "inv") for a in arrs], -t, cfg)
+        return _fn(inv_out, "inv"), info
+    n = len(arrs)
+    x = _arith(arrs)
+    diff = math.inf
+    for it in range(1, cfg.max_iter + 1):
+        nxt = _arith([_geo_t(x, a, t) for a in arrs])
+        diff = thompson_arrays(nxt, x)
+        x = nxt
+        if diff <= cfg.karcher_tol:
+            return x, MeanIterationInfo(diff, it, 1.0)
+    raise MaxIterationsExceeded(f"power mean (t={t})", diff, cfg.max_iter)
 
 
 def brute_upper_sets(leq: list[list[bool]]) -> set[frozenset[int]]:

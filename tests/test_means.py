@@ -1,8 +1,11 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stochcone.means as means
 from stochcone import (
@@ -38,6 +41,7 @@ from stochcone import (
     tuple_mean,
 )
 
+from oracles import _power as oracle_power
 from oracles import rand_measure, rand_pd, rand_psd_array
 
 I2 = posdef_eye(2)
@@ -246,6 +250,34 @@ def test_power_mean_fixed_point_property():
     assert thompson_distance(x, back) <= 1e-8
 
 
+def test_power_mean_is_within_karcher_tol_of_the_exact_mean():
+    # a stop once a step moves x by at most karcher_tol leaves an error of up
+    # to karcher_tol * (1 - t)/t, ~1e-8 here; a stop on the Banach bound
+    # keeps it within karcher_tol
+    rng = make_rng(117)
+    mats = family(rng, 3, 3, radius=0.4)
+    cfg = MeanConfig(max_iter=20000)
+    ref, _ = oracle_power([m.a for m in mats], 0.01,
+                          MeanConfig(karcher_tol=1e-15, max_iter=20000))
+    got = power_mean(mats, 0.01, cfg)
+    _, bound, _ = means._power(np.stack([m.a for m in mats])[:, None], 0.01, cfg)
+    assert thompson_distance(got, posdef(ref)) <= bound[0] <= cfg.karcher_tol
+
+
+@pytest.mark.parametrize("t", (1.0, -1.0, 0.5, -0.5, 0.1, -0.1, 0.01))
+@settings(max_examples=3, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 3), st.integers(2, 3))
+def test_stacked_power_kernel_matches_scalar_oracle(t, seed, d, n):
+    # both end within 1e-13 of the exact mean: the kernel by its bound, the
+    # oracle by a step below 1e-13 * |t|, which bounds its error by
+    # 1e-13 * (1 - |t|)
+    mats = family(make_rng(seed), d, n)
+    got = power_mean(mats, t, MeanConfig(karcher_tol=1e-13, max_iter=20000)).a
+    want, _ = oracle_power([m.a for m in mats], t,
+                           MeanConfig(karcher_tol=1e-13 * abs(t), max_iter=20000))
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_tuple_mean_dispatch():
     rng = make_rng(106)
     mats = family(rng, 2, 3)
@@ -353,6 +385,13 @@ def test_measure_mean_sampled_mode_metadata_and_determinism():
     assert measures_allclose(got, again, atom_tol=0.0, weight_tol=0.0)
     with pytest.raises(ProductCapExceeded):
         measure_mean("arith", mus, MeanConfig(product_cap=2))
+    # the default cap of 4096 admits 2^12 tuples and refuses 2^13
+    halves = [from_atoms([(I2, 0.5), (posdef_eye(2, 3.0), 0.5)]) for _ in range(13)]
+    assert measure_mean("arith", halves[:12]).meta == {"mode": "exact"}
+    with pytest.raises(ProductCapExceeded) as e:
+        measure_mean("arith", halves)
+    assert e.value.size == 8192
+    assert "sampled" in str(e.value)
 
 
 def test_measure_mean_validation():
@@ -429,23 +468,49 @@ def test_karcher_iteration_cap_names_the_tuple():
         measure_mean("karcher", mus, MeanConfig(max_iter=1))
 
 
-def test_karcher_measure_mean_atoms_equal_karcher_mean_bitwise():
+def check_atoms_equal_tuple_means(kind, cfg, one):
+    """Every atom of an exact and of a sampled measure mean of this kind is
+    bit for bit one(tuple) of its tuple."""
     rng = make_rng(114)
     mus = [separated_measure(rng, 3, k) for k in (3, 4, 2)]
-    got = measure_mean("karcher", mus)
+    got = measure_mean(kind, mus, cfg)
     tuples = list(itertools.product(*(m.points for m in mus)))
     assert got.size == len(tuples)
     for x, tup in zip(got.points, tuples):
-        assert np.array_equal(x.a, karcher_mean(list(tup)).a)
+        assert np.array_equal(x.a, one(list(tup)).a)
     # sampled: the same draws, each mean computed alone, pooled the same way
-    cfg = MeanConfig(product_cap=4, mc_samples=30, seed=11)
-    got = measure_mean("karcher", mus, cfg)
+    cfg = dataclasses.replace(cfg, product_cap=4, mc_samples=30, seed=11)
+    got = measure_mean(kind, mus, cfg)
     gen = make_rng(11)
     draws = [sample(m, 30, gen) for m in mus]
-    want = from_atoms([(karcher_mean([col[i] for col in draws]), 1.0 / 30) for i in range(30)])
+    want = from_atoms([(one([col[i] for col in draws]), 1.0 / 30) for i in range(30)])
     assert got.size == want.size < 30
     assert np.array_equal(got.arrays, want.arrays)
     assert np.array_equal(got.weights, want.weights)
+
+
+def test_karcher_measure_mean_atoms_equal_karcher_mean_bitwise():
+    check_atoms_equal_tuple_means("karcher", MeanConfig(), karcher_mean)
+
+
+def test_power_measure_mean_atoms_equal_power_mean_bitwise():
+    cfg = MeanConfig(power_t=-0.5)
+    check_atoms_equal_tuple_means("power", cfg, lambda tup: power_mean(tup, -0.5, cfg))
+
+
+def test_power_iteration_cap_names_the_tuple():
+    rng = make_rng(118)
+    b, c, d = (rand_pd(rng, 3, 2.5) for _ in range(3))
+    with pytest.raises(MaxIterationsExceeded, match=r"^power mean \(t=0\.5\) did not converge "
+                                                   r"within 1 iterations") as e:
+        power_mean([b, d], 0.5, MeanConfig(max_iter=1))
+    assert e.value.residual > 0.0
+    mus = [from_atoms([(b, 1.0), (c, 1.0)]), from_atoms([(b, 1.0), (d, 1.0)])]
+    # tuple 0, (b, b), is its own mean after one step, so the first tuple
+    # over the cap is tuple 1, (b, d); the message names the order asked for
+    with pytest.raises(MaxIterationsExceeded, match=r"^power mean \(t=-0\.5\) on tuple 1 "
+                                                   r"did not converge within 1 iterations"):
+        measure_mean("power", mus, MeanConfig(power_t=-0.5, max_iter=1))
 
 
 def test_karcher_measure_mean_eig_calls_follow_iterations_not_atoms(count_calls):
@@ -457,6 +522,20 @@ def test_karcher_measure_mean_eig_calls_follow_iterations_not_atoms(count_calls)
     got = measure_mean("karcher", mus)
     assert got.size == 256
     # two batched calls for the start, three per stacked iteration
+    assert len(eig) == 2 + 3 * iters
+    assert len(eig) < 256
+
+
+def test_power_measure_mean_eig_calls_follow_iterations_not_atoms(count_calls):
+    rng = make_rng(115)
+    mus = [separated_measure(rng, 2, 16) for _ in range(2)]
+    cfg = MeanConfig(power_t=-0.5)
+    iters = max(int(means._power(np.stack([x.a, y.a])[:, None], -0.5, cfg)[2][0])
+                for x in mus[0].points for y in mus[1].points)
+    eig = count_calls(means, "_eig")
+    got = measure_mean("power", mus, cfg)
+    assert got.size == 256
+    # an inversion before and after, three batched calls per stacked step
     assert len(eig) == 2 + 3 * iters
     assert len(eig) < 256
 

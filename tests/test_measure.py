@@ -9,7 +9,6 @@ from stochcone import (
     DimensionMismatch,
     FinMeasure,
     NotPositiveDefinite,
-    ProductCapExceeded,
     PushForwardError,
     dirac,
     from_atoms,
@@ -20,7 +19,6 @@ from stochcone import (
     measures_allclose,
     posdef,
     posdef_eye,
-    product,
     push_forward,
     sample,
 )
@@ -134,33 +132,6 @@ def test_invert_atomwise_value():
     nu = invert(mu)
     assert np.allclose(nu.points[0].a, np.eye(2), atol=1e-14)
     assert np.allclose(nu.points[1].a, np.eye(2) / 3.0, atol=1e-14)
-
-
-def test_product_size_and_weights():
-    mu = two_point()
-    nu = from_atoms([(posdef_eye(2, k), 1.0 / 3.0) for k in (1.0, 2.0, 4.0)])
-    pm = product([mu, nu])
-    assert pm.size == 6
-    atoms = list(pm.atoms())
-    assert len(atoms) == 6
-    assert sum(w for _, w in atoms) == pytest.approx(1.0, abs=1e-10)
-    # lexicographic order: first factor varies slowest
-    assert atoms[0][0][0] is mu.points[0]
-    assert atoms[3][0][0] is mu.points[1]
-
-
-def test_product_cap_enforced():
-    mus = [two_point() for _ in range(13)]  # 2^13 = 8192 > 4096
-    with pytest.raises(ProductCapExceeded) as e:
-        product(mus)
-    assert e.value.size == 8192
-    assert "sampled" in str(e.value)
-    assert product(mus[:12]).size == 4096
-
-
-def test_product_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        product([two_point(), dirac(posdef_eye(3))])
 
 
 def test_sample_deterministic_and_distributed():
