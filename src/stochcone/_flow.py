@@ -2,16 +2,19 @@
 
 Masses are put on a 1e-9 grid by largest-remainder apportionment, costs on a
 1e-12 grid, and everything downstream is exact integer arithmetic: Dinic for
-feasibility/max-flow questions and successive shortest paths with potentials
-for min-cost transport.  Node and arc orders are fixed by construction, so
-results are deterministic.
+max-flow questions, successive shortest paths with numpy Bellman-Ford labels
+for min-cost transport.  Orders and tie-breaks are fixed, so results are
+deterministic.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 MASS_SCALE = 10 ** 9
 COST_SCALE = 10 ** 12
+_INF = 1 << 61  # unreached label: INF + INF and INF + max cost fit in int64
 
 
 def apportion(weights: Sequence[float], scale: int = MASS_SCALE) -> list[int]:
@@ -137,89 +140,85 @@ def bipartite_max_flow(supply: Sequence[int], demand: Sequence[int],
     return value, flow, [reach[i] for i in range(r)]
 
 
+def _settle(cost_t, back, du, dv, pu, pv) -> None:
+    """Bellman-Ford in place: a round is one min over du + cost (forward arcs)
+    and one over dv + back (reverse arcs: -cost where flow > 0, else _INF).
+    Labels and predecessors change only on a strict decrease, ties to the
+    lowest index; RuntimeError after r + c + 1 rounds (a negative cycle)."""
+    c, r = cost_t.shape
+    halves = ((cost_t, du, dv, pv), (back, dv, du, pu))
+    for k in range(2 * (r + c + 1)):
+        arcs, tail, head, pred = halves[k % 2]
+        t = tail + arcs
+        m = t.min(1)
+        better = m < head
+        if k and not np.count_nonzero(better):  # so both halves are settled
+            return
+        np.copyto(pred, t.argmin(1), where=better)
+        np.minimum(head, m, out=head)
+    raise RuntimeError(f"shortest-path labels did not settle in {r + c + 1} rounds")
+
+
 def transportation_min_cost(supply: Sequence[int], demand: Sequence[int],
                             cost: Sequence[Sequence[int]]):
     """Exact min-cost transportation plan between integer marginals.
 
-    Successive shortest paths with Johnson potentials; costs must be
-    nonnegative integers and sum(supply) == sum(demand).  Returns the flow
-    matrix and dual prices (u, v) in cost units satisfying
-    u[i] + v[j] <= cost[i][j] with equality wherever flow is positive.
+    Successive shortest paths on (r, c) int64 arrays: labels are distances
+    in the real costs from the supply nodes with residual supply, and each
+    augmentation fills the path to the cheapest open demand node (lowest
+    index on ties).  Flows stay min-cost for their value, so labels never
+    decrease and only nodes below a tree arc cut by a push are relabeled.
+    Masses and costs are nonnegative integers, totals equal, and the total
+    and (r + c + 1) * max cost below _INF = 2**61, else ValueError.  Returns
+    int64 (flow, u, v); the duals u = -d_u, v = d_v of a last pass from an
+    all-zero start satisfy u[i] + v[j] <= cost[i][j], tight where flow > 0.
     """
-    r, c = len(supply), len(demand)
-    if sum(supply) != sum(demand):
-        raise ValueError("supply and demand totals differ")
-    n = r + c + 2
-    s, t = r + c, r + c + 1
-    head: list[list[int]] = [[] for _ in range(n)]
-    to: list[int] = []
-    cap: list[int] = []
-    cst: list[int] = []
-
-    def add(u: int, v: int, capacity: int, cost_uv: int) -> int:
-        idx = len(to)
-        head[u].append(idx)
-        to.append(v)
-        cap.append(capacity)
-        cst.append(cost_uv)
-        head[v].append(idx + 1)
-        to.append(u)
-        cap.append(0)
-        cst.append(-cost_uv)
-        return idx
-
-    for i in range(r):
-        add(s, i, int(supply[i]), 0)
-    cross = [[add(i, r + j, int(supply[i]), int(cost[i][j])) for j in range(c)]
-             for i in range(r)]
-    for j in range(c):
-        add(r + j, t, int(demand[j]), 0)
-
-    inf = float("inf")
-    pot = [0] * n
-    remaining = sum(supply)
+    ra, rb = [int(x) for x in supply], [int(x) for x in demand]
+    r, c = len(ra), len(rb)
+    cost = np.asarray(cost, dtype=np.int64).reshape(r, c)
+    remaining, top = sum(ra), int(cost.max(initial=0))
+    if remaining != sum(rb) or min(ra + rb + [int(cost.min(initial=0))]) < 0:
+        raise ValueError("masses and costs must be nonnegative, with equal mass totals")
+    if max(remaining, (r + c + 1) * top) >= _INF:
+        raise ValueError(f"total {remaining} or {r + c + 1} x max cost {top} is not below 2**61")
+    flow, back, cost_t = np.zeros((r, c), dtype=np.int64), np.full((r, c), _INF), cost.T.copy()
+    d = np.array([0 if x else _INF for x in ra] + [_INF] * c, dtype=np.int64)
+    closed = np.array([0 if x else _INF for x in rb], dtype=np.int64)
+    du, dv, pu_a, pv_a = d[:r], d[r:], np.full(r, -1), np.full(c, -1)
+    stale = True
     while remaining > 0:
-        # Dijkstra on reduced costs (dense: the graphs here are tiny)
-        dist = [inf] * n
-        dist[s] = 0
-        prev_arc = [-1] * n
-        done = [False] * n
-        for _ in range(n):
-            u, best = -1, inf
-            for k in range(n):
-                if not done[k] and dist[k] < best:
-                    u, best = k, dist[k]
-            if u < 0:
-                break
-            done[u] = True
-            for e in head[u]:
-                if cap[e] <= 0:
-                    continue
-                v = to[e]
-                nd = dist[u] + cst[e] + pot[u] - pot[v]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    prev_arc[v] = e
-        if dist[t] == inf:
-            raise RuntimeError("transportation network disconnected")
-        for k in range(n):
-            if dist[k] < inf:
-                pot[k] += dist[k]
-        push = remaining
-        v = t
-        while v != s:
-            e = prev_arc[v]
-            push = min(push, cap[e])
-            v = to[e ^ 1]
-        v = t
-        while v != s:
-            e = prev_arc[v]
-            cap[e] -= push
-            cap[e ^ 1] += push
-            v = to[e ^ 1]
+        if stale:
+            _settle(cost_t, back, du, dv, pu_a, pv_a)
+            pu, pv = pu_a.tolist(), pv_a.tolist()
+        j = end = int((dv + closed).argmin())
+        path = []
+        while j >= 0:
+            i = pv[j]
+            path.append((i, j, 1))
+            j = pu[i]
+            if j >= 0:
+                path.append((i, j, -1))
+        push = min([ra[i], rb[end]] + [int(flow[p, q]) for p, q, sign in path if sign < 0])
+        if push <= 0:
+            raise RuntimeError("shortest path has no residual capacity")
+        ra[i] -= push
+        rb[end] -= push
         remaining -= push
-
-    flow = [[cap[cross[i][j] ^ 1] for j in range(c)] for i in range(r)]
-    u_dual = [-pot[i] for i in range(r)]
-    v_dual = [pot[r + j] for j in range(c)]
-    return flow, u_dual, v_dual
+        closed[end] = 0 if rb[end] else _INF
+        stale = [] if ra[i] else [i]  # roots of the subtrees to relabel
+        for i, j, sign in path:
+            flow[i, j] = f = int(flow[i, j]) + sign * push
+            back[i, j] = -cost[i, j] if f else _INF
+            if not f:
+                stale.append(i)
+        if stale:
+            kids: dict[int, list[int]] = {}
+            for node, up in enumerate([r + j if j >= 0 else -1 for j in pu] + pv):
+                kids.setdefault(up, []).append(node)
+            for node in stale:
+                stale.extend(kids.get(node, ()))
+            d[stale] = _INF
+    d[:] = 0
+    if cost.size:
+        _settle(cost_t, back, du, dv, pu_a, pv_a)
+    return flow, -du, dv

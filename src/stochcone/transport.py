@@ -96,30 +96,28 @@ def cost_matrix(mu: FinMeasure, nu: FinMeasure, p: float = 1.0) -> CostMatrix:
     _check_pair(mu, nu)
     if not (p >= 1.0):
         raise ValueError(f"order p must satisfy p >= 1, got {p}")
-    d = thompson_pairwise(np.stack([x.a for x in mu.points]),
-                          np.stack([y.a for y in nu.points]))
+    d = thompson_pairwise(mu.arrays, nu.arrays)
     return CostMatrix(d if math.isinf(p) else d ** p, p)
 
 
-def _certify(costs: np.ndarray, flow: list[list[int]], u: list[int], v: list[int]):
+def _certify(costs: np.ndarray, flow: np.ndarray, u: np.ndarray, v: np.ndarray):
     """Complementary-slackness check of the integer solution against the
     unquantized costs, normalized to a maximum of one; failures indicate an
-    internal bug."""
-    r, c = costs.shape
-    for i in range(r):
-        ui = u[i] / _flow.COST_SCALE
-        for j in range(c):
-            reduced = costs[i, j] - ui - v[j] / _flow.COST_SCALE
-            if reduced < -_REDUCED_COST_TOL:
-                raise RuntimeError(
-                    f"optimality certificate failed: reduced cost {reduced:.3e} "
-                    f"at ({i}, {j})"
-                )
-            if flow[i][j] > 0 and reduced > _REDUCED_COST_TOL:
-                raise RuntimeError(
-                    f"optimality certificate failed: slack {reduced:.3e} on a "
-                    f"support pair ({i}, {j})"
-                )
+    internal bug and name the first failing pair in row-major order."""
+    reduced = costs - (u / _flow.COST_SCALE)[:, None] - v / _flow.COST_SCALE
+    negative = reduced < -_REDUCED_COST_TOL
+    bad = np.flatnonzero(negative | ((flow > 0) & (reduced > _REDUCED_COST_TOL)))
+    if bad.size:
+        i, j = divmod(int(bad[0]), costs.shape[1])
+        if negative[i, j]:
+            raise RuntimeError(
+                f"optimality certificate failed: reduced cost {reduced[i, j]:.3e} "
+                f"at ({i}, {j})"
+            )
+        raise RuntimeError(
+            f"optimality certificate failed: slack {reduced[i, j]:.3e} on a "
+            f"support pair ({i}, {j})"
+        )
 
 
 def wasserstein(mu: FinMeasure, nu: FinMeasure, p: float = 1.0) -> tuple[float, Coupling]:
@@ -146,10 +144,10 @@ def wasserstein(mu: FinMeasure, nu: FinMeasure, p: float = 1.0) -> tuple[float, 
     # d_T^p spans many orders of magnitude; quantize and certify relative to
     # the largest cost so the grid and the tolerance scale with the data
     unit = costs / (costs.max() or 1.0)
-    int_costs = np.rint(unit * _flow.COST_SCALE).astype(np.int64).tolist()
+    int_costs = np.rint(unit * _flow.COST_SCALE).astype(np.int64)
     flow, u, v = _flow.transportation_min_cost(a, b, int_costs)
     _certify(unit, flow, u, v)
-    plan_w = np.asarray(flow, dtype=float) / _flow.MASS_SCALE
+    plan_w = flow / _flow.MASS_SCALE
     total = float((costs * plan_w).sum())
     plan = Coupling(plan_w, mu.weights, nu.weights)
     return total ** (1.0 / p), plan
@@ -168,10 +166,10 @@ def wasserstein_inf(mu: FinMeasure, nu: FinMeasure) -> tuple[float, Coupling]:
     costs = cost_matrix(mu, nu, math.inf).entries
     a = _flow.apportion(mu.weights)
     b = _flow.apportion(nu.weights)
-    values = sorted(set(float(x) for x in costs.reshape(-1)))
+    values = np.unique(costs).tolist()
 
     def feasible(thr: float):
-        edges = [[costs[i, j] <= thr for j in range(nu.size)] for i in range(mu.size)]
+        edges = (costs <= thr).tolist()
         value, flow, _ = _flow.bipartite_max_flow(a, b, edges)
         return value == _flow.MASS_SCALE, flow
 

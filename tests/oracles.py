@@ -6,11 +6,13 @@ inverse-square-root route to the Thompson metric (the package whitens by a
 Cholesky factor), a 60-digit mpmath Thompson distance, all-pairs Frobenius
 scans for atom merging and matching (the package uses a projection-sorted
 atom index), a 2^n subset filter for upper sets, Hall's condition for
-coupling feasibility, and exhaustive basic-solution enumeration for
-transportation optima.  None of it shares code with the package's own
-algorithms, except the scalar power-mean iteration (the package iterates
-(n, N, d, d) stacks): it solves one tuple at a time, forms each x #_t a_j
-apart through matfun's per-eigenvalue maps, and stops on the step size.
+coupling feasibility, exhaustive basic-solution enumeration for
+transportation optima, and the former pure-Python min-cost flow (a dense
+Dijkstra per augmentation; the package relaxes numpy int64 arrays).  None
+of it shares code with the package's own algorithms, except the scalar
+power-mean iteration (the package iterates (n, N, d, d) stacks): it solves
+one tuple at a time, forms each x #_t a_j apart through matfun's
+per-eigenvalue maps, and stops on the step size.
 """
 from __future__ import annotations
 
@@ -19,10 +21,11 @@ import math
 
 import numpy as np
 
-from stochcone import EigenConvergenceError, FinMeasure, PosDefMatrix, from_atoms, posdef
+from stochcone import EigenConvergenceError, FinMeasure, PosDefMatrix, _flow, from_atoms, posdef
 from stochcone.cone import thompson_arrays
 from stochcone.matfun import _apply, _eig, _fn
 from stochcone.means import MaxIterationsExceeded, MeanIterationInfo, _arith
+from stochcone.transport import _REDUCED_COST_TOL
 
 _MAX_SWEEPS = 64
 # stop a sweep pass once the off-diagonal Frobenius mass is this far below
@@ -439,3 +442,117 @@ def brute_wasserstein_inf(a: list[float], b: list[float], cost: np.ndarray) -> f
         if hall_feasible(a, b, edges):
             return thr
     raise AssertionError("no feasible threshold; marginals broken")
+
+
+# The package's former pure-Python min-cost core (successive shortest paths
+# with a dense Dijkstra on reduced costs) and its pair-by-pair optimality
+# certificate, kept verbatim as oracles for the numpy core in _flow and the
+# vectorized transport._certify.
+
+def loop_certify(costs: np.ndarray, flow: list[list[int]], u: list[int], v: list[int]):
+    """Complementary-slackness check of the integer solution against the
+    unquantized costs, normalized to a maximum of one; failures indicate an
+    internal bug."""
+    r, c = costs.shape
+    for i in range(r):
+        ui = u[i] / _flow.COST_SCALE
+        for j in range(c):
+            reduced = costs[i, j] - ui - v[j] / _flow.COST_SCALE
+            if reduced < -_REDUCED_COST_TOL:
+                raise RuntimeError(
+                    f"optimality certificate failed: reduced cost {reduced:.3e} "
+                    f"at ({i}, {j})"
+                )
+            if flow[i][j] > 0 and reduced > _REDUCED_COST_TOL:
+                raise RuntimeError(
+                    f"optimality certificate failed: slack {reduced:.3e} on a "
+                    f"support pair ({i}, {j})"
+                )
+
+
+def ssp_transportation_min_cost(supply: Sequence[int], demand: Sequence[int],
+                            cost: Sequence[Sequence[int]]):
+    """Exact min-cost transportation plan between integer marginals.
+
+    Successive shortest paths with Johnson potentials; costs must be
+    nonnegative integers and sum(supply) == sum(demand).  Returns the flow
+    matrix and dual prices (u, v) in cost units satisfying
+    u[i] + v[j] <= cost[i][j] with equality wherever flow is positive.
+    """
+    r, c = len(supply), len(demand)
+    if sum(supply) != sum(demand):
+        raise ValueError("supply and demand totals differ")
+    n = r + c + 2
+    s, t = r + c, r + c + 1
+    head: list[list[int]] = [[] for _ in range(n)]
+    to: list[int] = []
+    cap: list[int] = []
+    cst: list[int] = []
+
+    def add(u: int, v: int, capacity: int, cost_uv: int) -> int:
+        idx = len(to)
+        head[u].append(idx)
+        to.append(v)
+        cap.append(capacity)
+        cst.append(cost_uv)
+        head[v].append(idx + 1)
+        to.append(u)
+        cap.append(0)
+        cst.append(-cost_uv)
+        return idx
+
+    for i in range(r):
+        add(s, i, int(supply[i]), 0)
+    cross = [[add(i, r + j, int(supply[i]), int(cost[i][j])) for j in range(c)]
+             for i in range(r)]
+    for j in range(c):
+        add(r + j, t, int(demand[j]), 0)
+
+    inf = float("inf")
+    pot = [0] * n
+    remaining = sum(supply)
+    while remaining > 0:
+        # Dijkstra on reduced costs (dense: the graphs here are tiny)
+        dist = [inf] * n
+        dist[s] = 0
+        prev_arc = [-1] * n
+        done = [False] * n
+        for _ in range(n):
+            u, best = -1, inf
+            for k in range(n):
+                if not done[k] and dist[k] < best:
+                    u, best = k, dist[k]
+            if u < 0:
+                break
+            done[u] = True
+            for e in head[u]:
+                if cap[e] <= 0:
+                    continue
+                v = to[e]
+                nd = dist[u] + cst[e] + pot[u] - pot[v]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    prev_arc[v] = e
+        if dist[t] == inf:
+            raise RuntimeError("transportation network disconnected")
+        for k in range(n):
+            if dist[k] < inf:
+                pot[k] += dist[k]
+        push = remaining
+        v = t
+        while v != s:
+            e = prev_arc[v]
+            push = min(push, cap[e])
+            v = to[e ^ 1]
+        v = t
+        while v != s:
+            e = prev_arc[v]
+            cap[e] -= push
+            cap[e ^ 1] += push
+            v = to[e ^ 1]
+        remaining -= push
+
+    flow = [[cap[cross[i][j] ^ 1] for j in range(c)] for i in range(r)]
+    u_dual = [-pot[i] for i in range(r)]
+    v_dual = [pot[r + j] for j in range(c)]
+    return flow, u_dual, v_dual

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stochcone.cone as cone
 from stochcone import (
@@ -17,10 +19,13 @@ from stochcone import (
     wasserstein,
     wasserstein_inf,
 )
+from stochcone import _flow
+from stochcone.transport import _certify
 
 from oracles import (
     brute_min_transport,
     brute_wasserstein_inf,
+    loop_certify,
     numpy_thompson,
     rand_measure,
     rand_measure_dyadic,
@@ -108,6 +113,38 @@ def test_certificate_holds_on_wide_cost_ranges():
         nu = rand_measure(rng, 2, 6, radius=12.0)
         for p in (6.0, 12.0):
             wasserstein(mu, nu, p)  # raises if the optimality certificate fails
+
+
+def certificate_outcome(check, *args):
+    try:
+        check(*args)
+    except RuntimeError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.lists(st.tuples(st.booleans(), st.integers(0, 7),
+                          st.sampled_from((-10 ** 9, -1001, -999, -1, 1, 999, 1001, 10 ** 9))),
+                max_size=4))
+def test_certificate_message_matches_the_loop_on_tampered_duals(seed, tampers):
+    # 1000 grid units are the 1e-9 reduced-cost tolerance on unit costs, so
+    # the shifts land on both sides of it
+    rng = make_rng(seed)
+    mu = rand_measure(rng, 2, 6)
+    nu = rand_measure(rng, 2, 6)
+    costs = cost_matrix(mu, nu, 1.0).entries
+    unit = costs / (costs.max() or 1.0)
+    flow, u, v = _flow.transportation_min_cost(
+        _flow.apportion(mu.weights), _flow.apportion(nu.weights),
+        np.rint(unit * _flow.COST_SCALE).astype(np.int64))
+    assert certificate_outcome(_certify, unit, flow, u, v) is None
+    for on_u, k, shift in tampers:
+        duals = u if on_u else v
+        duals[k % duals.size] += shift
+    want = certificate_outcome(loop_certify, unit, flow.tolist(), u.tolist(), v.tolist())
+    assert certificate_outcome(_certify, unit, flow, u, v) == want
 
 
 def test_cost_matrix_rejects_p_below_one():
